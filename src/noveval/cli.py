@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import corpus_io
 from .corpus_io import Relevance
-from .errors import NovevalError
+from .errors import NovevalError, ValidationError
 from .harness import (
     LeaveOneOutPlan,
     PerQueryDiffMatrix,
@@ -74,7 +74,8 @@ def abbreviate_queries(queries: list[str]) -> list[str]:
 
 def render_ranking(table: RankingTable, fmt: str, metadata: dict | None = None) -> str:
     """Ranking table ordered by utility rank; text aligns, CSV/JSON keep precision."""
-    assert len(table.rows) >= 2, "ranking table requires at least 2 systems"
+    if len(table.rows) < 2:
+        raise ValidationError("ranking table requires at least 2 systems")
     rows = table.by_utility_rank()
     if fmt == "json":
         payload: dict = {"metadata": metadata} if metadata else {}

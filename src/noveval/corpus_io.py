@@ -95,9 +95,6 @@ class RunSet:
     def queries(self) -> list[str]:
         return sorted({q for _, q in self._groups})
 
-    def has_system(self, system: str) -> bool:
-        return any(s == system for s, _ in self._groups)
-
     def entries(self) -> Iterator[RunEntry]:
         """All entries in deterministic (system, query, rank) order."""
         for key in sorted(self._groups):
@@ -324,11 +321,28 @@ def load_runs(path: str | Path, strict_scores: bool = False) -> RunSet:
         with open(f, "r", encoding="utf-8") as fh:
             try:
                 entries.extend(iter_run_entries(fh))
-            except ParseError as exc:
-                raise ParseError(f"{f.name}: {exc}") from exc
+            except UnicodeDecodeError as exc:
+                raise _decode_error(f, exc) from exc
+            except (ParseError, ValidationError) as exc:
+                raise type(exc)(f"{f.name}: {exc}") from exc
     return RunSet(entries, strict_scores=strict_scores)
 
 
 def load_judgments(path: str | Path, grade_map: Mapping[int, Relevance] | None = None) -> JudgmentSet:
+    path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_judgments(fh, grade_map)
+        try:
+            return parse_judgments(fh, grade_map)
+        except UnicodeDecodeError as exc:
+            raise _decode_error(path, exc) from exc
+
+
+def _decode_error(path: Path, exc: UnicodeDecodeError) -> ParseError:
+    """Name the file and the first line of it that is not valid UTF-8."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return ParseError(f"{path.name}: line {lineno}: not valid UTF-8 ({exc.reason})")
+    return ParseError(f"{path.name}: not valid UTF-8 ({exc.reason})")

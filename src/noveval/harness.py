@@ -50,18 +50,23 @@ def run_leave_one_out(
 ) -> list[SystemQueryResult]:
     """Evaluate every (system, query) cell; output ordered by system then query."""
     cfg = plan.config
+    present = set(runs.systems())
     for system in plan.systems:
-        if not runs.has_system(system):
+        if system not in present:
             raise ConfigError(f"system {system!r} is not present in the runs")
     rankings = {
         (system, query): runs.ranking(system, query, cfg.depth_n)
         for system in plan.systems
         for query in plan.queries
     }
+    relevant_by_query = {
+        query: judgments.relevant_docs(query, cfg.partial_relevant_counts)
+        for query in plan.queries
+    }
     results: list[SystemQueryResult] = []
     for system in sorted(plan.systems):
         for query in sorted(plan.queries):
-            relevant = judgments.relevant_docs(query, cfg.partial_relevant_counts)
+            relevant = relevant_by_query[query]
             pool = [rankings[(y, query)] for y in plan.systems if y != system]
             utility = total_utility(rankings[(system, query)], pool, relevant, cfg)
             ap = average_precision(rankings[(system, query)], relevant)

@@ -6,8 +6,12 @@ so the probability of reading the document at rank r is (N - r + 1) / N.
 A system's utility on a relevant document is the log-ratio of its own read
 probability to the pooled read probability over the other systems.
 
-Probabilities are kept as exact rationals (rank and depth are integers) and
-converted to floating point only when the logarithm is taken.
+A read probability is the integer numerator N - r + 1 over N, and the pooled
+one is the sum of those numerators over N times the pool size, so each
+utility term is a single int/int true division, which Python rounds
+correctly, followed by the logarithm. The `Fraction` helpers
+(`read_probability`, `pooled_probability`, `document_utility`) give the
+same floats and serve as the reference in tests.
 """
 
 from __future__ import annotations
@@ -131,13 +135,41 @@ def total_utility(
     relevant_docs: set[str],
     config: EvalConfig,
 ) -> UtilityScore:
-    """Sum of per-document utilities over the relevant set (docs in sorted order)."""
+    """Sum of per-document utilities over the relevant set (docs in sorted order).
+
+    Per document, x holds c = N - r + 1 (0 if missed) and the pool holds
+    t = sum of N - r_y + 1, so p_sys = c/N and p_pool = t/(N|pool|), each
+    replaced by its floor when zero; their ratio is one int/int division.
+    """
+    if not relevant_docs:
+        return UtilityScore()
+    if not pool:
+        raise ConfigError("pooled probability requires a non-empty pool")
+    n = config.depth_n
+    n1 = n + 1
+    n_pool = n * len(pool)
+    sys_floor = config.system_floor().as_integer_ratio()
+    pool_floor = config.pool_floor(len(pool)).as_integer_ratio()
+    log = config.log
     per_doc: dict[str, float] = {}
     total = 0.0
     for doc in sorted(relevant_docs):
-        p_sys = read_probability(assignment_x.get(doc), config.depth_n)
-        p_pool = pooled_probability(doc, pool, config)
-        u = document_utility(p_sys, p_pool, config)
+        t = 0
+        for ranks in pool:
+            r = ranks.get(doc)
+            if r is not None:
+                if not 0 < r <= n:
+                    raise ConfigError(f"rank must be in [1, {n}], got {r}")
+                t += n1 - r
+        r = assignment_x.get(doc)
+        if r is None:
+            sys_num, sys_den = sys_floor
+        elif 0 < r <= n:
+            sys_num, sys_den = n1 - r, n
+        else:
+            raise ConfigError(f"rank must be in [1, {n}], got {r}")
+        pool_num, pool_den = (t, n_pool) if t else pool_floor
+        u = log(sys_num * pool_den / (sys_den * pool_num))
         per_doc[doc] = u
         total += u
     return UtilityScore(per_doc=per_doc, total=total)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from noveval import RankingRow, RankingTable
+from noveval import RankingRow, RankingTable, ValidationError
 from noveval.cli import abbreviate_queries, main, render_per_query, render_ranking
 from noveval.harness import PerQueryDiffMatrix
 
@@ -218,3 +222,66 @@ class TestRenderPerQuery:
 )
 def test_abbreviate_queries(queries, expected):
     assert abbreviate_queries(queries) == expected
+
+
+def _single_error_line(err: str) -> str:
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith("error: ")
+    return lines[0]
+
+
+def test_non_utf8_run_file_names_file_and_line(tmp_path, capsys):
+    runs = tmp_path / "runs.txt"
+    runs.write_bytes(RUNS.encode() + b"q1 0 d\xff9 3 0.7 s1\n")
+    qrels = tmp_path / "qrels.txt"
+    qrels.write_text(QRELS)
+    code = main(["--runs", str(runs), "--qrels", str(qrels), "--depth", "10"])
+    assert code == 1
+    line = _single_error_line(capsys.readouterr().err)
+    assert "runs.txt: line 5: not valid UTF-8" in line
+
+
+def test_non_utf8_qrels_file_names_file(corpus, tmp_path, capsys):
+    runs, _ = corpus
+    qrels = tmp_path / "latin1-qrels.txt"
+    qrels.write_bytes("q1 0 d1 2\nq1 0 dé2 2\n".encode("latin-1"))
+    code = main(["--runs", str(runs), "--qrels", str(qrels), "--depth", "10"])
+    assert code == 1
+    line = _single_error_line(capsys.readouterr().err)
+    assert "latin1-qrels.txt: line 2: not valid UTF-8" in line
+
+
+def test_runs_directory_validation_error_names_file(tmp_path, capsys):
+    runs_dir = tmp_path / "runs"
+    runs_dir.mkdir()
+    (runs_dir / "s1.txt").write_text("q1 0 d1 1 0.9 s1\nq1 0 d2 2 0.8 s1\n")
+    (runs_dir / "s2.txt").write_text("q1 0 d2 1 0.9 s2\nq1 0 d2 2 0.8 s2\n")
+    qrels = tmp_path / "qrels.txt"
+    qrels.write_text(QRELS)
+    code = main(["--runs", str(runs_dir), "--qrels", str(qrels), "--depth", "10"])
+    assert code == 1
+    line = _single_error_line(capsys.readouterr().err)
+    assert "s2.txt: duplicate document 'd2'" in line
+    assert "(line 2)" in line
+
+
+def test_one_row_ranking_rejected_without_assert():
+    one_row = RankingTable(rows=(RankingRow("a", 0.5, 1.0, ap_rank=1, utility_rank=1),))
+    with pytest.raises(ValidationError, match="at least 2 systems"):
+        render_ranking(one_row, "text")
+    # The check must survive `python -O`, which strips assert statements.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = (
+        "from noveval import RankingRow, RankingTable, ValidationError\n"
+        "from noveval.cli import render_ranking\n"
+        "t = RankingTable(rows=(RankingRow('a', 0.5, 1.0, ap_rank=1, utility_rank=1),))\n"
+        "try:\n"
+        "    render_ranking(t, 'text')\n"
+        "except ValidationError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(3)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()

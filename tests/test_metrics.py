@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -140,6 +141,49 @@ class TestTotalUtility:
         lone = total_utility(x, [{}], {"d"}, cfg)
         with_clone = total_utility(x, [{}, dict(x)], {"d"}, cfg)
         assert with_clone.per_doc["d"] < lone.per_doc["d"]
+
+
+def _random_ranking(rng: random.Random, universe: list[str], depth_n: int) -> dict[str, int]:
+    docs = rng.sample(universe, rng.randint(0, min(depth_n, len(universe))))
+    return dict(zip(docs, rng.sample(range(1, depth_n + 1), len(docs))))
+
+
+def test_integer_kernel_bit_identical_to_fraction_path():
+    """total_utility's int/int division equals the Fraction helpers bit for bit."""
+    rng = random.Random(20001002)
+    epsilons = [None, None, 1.0, 0.5, 0.1, 1 / 3, 0.007, 1e-9]
+    bases = [math.e, 2.0, 10.0]
+    cases = {(hit, pooled): 0 for hit in (False, True) for pooled in (False, True)}
+    seen = set()
+    for _ in range(5000):
+        depth_n = rng.randint(1, 12)
+        cfg = EvalConfig(
+            depth_n=depth_n,
+            log_base=rng.choice(bases),
+            epsilon_custom=rng.choice(epsilons),
+        )
+        universe = [f"d{i}" for i in range(rng.randint(1, 10))]
+        x = _random_ranking(rng, universe, depth_n)
+        pool = [_random_ranking(rng, universe, depth_n) for _ in range(rng.randint(1, 6))]
+        # "m*" documents are retrieved by nobody: c = 0 and t = 0.
+        relevant = set(rng.sample(universe + ["m0", "m1"], rng.randint(1, len(universe) + 2)))
+        expected = {
+            doc: document_utility(
+                read_probability(x.get(doc), depth_n), pooled_probability(doc, pool, cfg), cfg
+            )
+            for doc in relevant
+        }
+        score = total_utility(x, pool, relevant, cfg)
+        assert score.per_doc == expected
+        total = 0.0
+        for doc in sorted(relevant):
+            total += expected[doc]
+        assert score.total == total
+        for doc in relevant:
+            cases[(doc in x, any(doc in ranks for ranks in pool))] += 1
+        seen.add((cfg.epsilon_custom, cfg.log_base))
+    assert min(cases.values()) >= 500, cases
+    assert seen == {(eps, base) for eps in epsilons for base in bases}
 
 
 class TestAveragePrecision:
