@@ -12,6 +12,16 @@ File formats:
   topics     - SGML-style <TOPIC> elements containing <TOPIC-ID>,
                <DESCRIPTION> and <NARRATIVE>.
 
+Run and judgment files are read as UTF-8; a leading byte-order mark is
+dropped.
+
+A `RunSet` stores each (system, query) group as two columns in rank order:
+document ids and scores. `load_runs` first tries a columnar fast path that
+reads each file in bounded chunks and accepts only files whose lines come
+as whole groups in rank order, each group once. On anything else it reads
+every file again with the line parser (`iter_run_entries` and `RunSet`),
+which alone decides what is valid and what every error says.
+
 All parsed structures are immutable after construction and safe to share
 across threads.
 """
@@ -45,12 +55,18 @@ class RunEntry:
     system: str
 
 
+#: (system, query) -> (document ids, scores), both in rank order.
+_RunColumns = dict[tuple[str, str], tuple[tuple[str, ...], tuple[float, ...]]]
+
+
 class RunSet:
     """All ranked retrieval results, grouped by (system, query).
 
     Within each (system, query) group, ranks are exactly 1..n with no gaps
     or duplicates and document ids are unique. Construction validates this;
-    instances are immutable afterward.
+    instances are immutable afterward. Each group is stored as two columns
+    in rank order, a tuple of document ids and a tuple of scores; the rank
+    of a document is its position plus one.
     """
 
     def __init__(self, entries: Iterable[RunEntry], strict_scores: bool = False):
@@ -63,8 +79,11 @@ class RunSet:
                     f"duplicate rank {e.rank} for system {e.system!r}, query {e.query!r}"
                 )
             group[e.rank] = e
-        self._groups: dict[tuple[str, str], tuple[RunEntry, ...]] = {}
-        for (system, query), by_rank in groups.items():
+        self._groups: _RunColumns = {}
+        for key in list(groups):
+            # Pop each rank dict as it is converted, so both forms are never held whole.
+            by_rank = groups.pop(key)
+            system, query = key
             n = len(by_rank)
             if set(by_rank) != set(range(1, n + 1)):
                 missing = sorted(set(range(1, n + 1)) - set(by_rank))
@@ -72,7 +91,7 @@ class RunSet:
                     f"ranks for system {system!r}, query {query!r} are not contiguous "
                     f"1..{n} (missing {missing[:5]})"
                 )
-            ordered = tuple(by_rank[r] for r in range(1, n + 1))
+            ordered = [by_rank[r] for r in range(1, n + 1)]
             seen_docs: set[str] = set()
             for e in ordered:
                 if e.doc in seen_docs:
@@ -87,7 +106,17 @@ class RunSet:
                             f"score increases from rank {a.rank} to {b.rank} for system "
                             f"{system!r}, query {query!r} (strict mode)"
                         )
-            self._groups[(system, query)] = ordered
+            self._groups[key] = (
+                tuple(e.doc for e in ordered),
+                tuple(e.score for e in ordered),
+            )
+
+    @classmethod
+    def _from_columns(cls, groups: _RunColumns) -> RunSet:
+        """Wrap (system, query) -> (docs, scores) columns that are already validated."""
+        runs = cls.__new__(cls)
+        runs._groups = groups
+        return runs
 
     def systems(self) -> list[str]:
         return sorted({s for s, _ in self._groups})
@@ -98,17 +127,17 @@ class RunSet:
     def entries(self) -> Iterator[RunEntry]:
         """All entries in deterministic (system, query, rank) order."""
         for key in sorted(self._groups):
-            yield from self._groups[key]
-
-    def group(self, system: str, query: str) -> tuple[RunEntry, ...]:
-        return self._groups.get((system, query), ())
+            system, query = key
+            docs, scores = self._groups[key]
+            for rank, (doc, score) in enumerate(zip(docs, scores), start=1):
+                yield RunEntry(query=query, doc=doc, rank=rank, score=score, system=system)
 
     def ranking(self, system: str, query: str, depth: int | None = None) -> dict[str, int]:
         """Document -> rank map for one (system, query), truncated to `depth`."""
-        entries = self._groups.get((system, query), ())
+        docs = self._groups.get((system, query), ((), ()))[0]
         if depth is not None:
-            entries = entries[:depth]
-        return {e.doc: e.rank for e in entries}
+            docs = docs[:depth]
+        return dict(zip(docs, range(1, len(docs) + 1)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RunSet):
@@ -116,7 +145,7 @@ class RunSet:
         return self._groups == other._groups
 
     def __len__(self) -> int:
-        return sum(len(g) for g in self._groups.values())
+        return sum(len(docs) for docs, _ in self._groups.values())
 
 
 class Relevance(Enum):
@@ -307,18 +336,38 @@ def write_judgments(
         sink.write(f"{query} 0 {doc} {grade_values[grade]}\n")
 
 
+#: Characters of run file read per chunk by the columnar fast path in `load_runs`.
+_CHUNK_CHARS = 1 << 16
+
+
 def load_runs(path: str | Path, strict_scores: bool = False) -> RunSet:
-    """Load runs from a single file or from every regular file in a directory."""
+    """Load runs from a single file or from every regular file in a directory.
+
+    Files whose lines come as whole (system, query) groups in rank order,
+    each group once, are read in columns by `_read_columns`. Any other input
+    (comments, blank lines, other line orders, a group that continues in a
+    later file, or a line the fast path does not accept) makes every file be
+    read again by `iter_run_entries` and `RunSet`, which alone decide what is
+    valid and what an error says.
+    """
     path = Path(path)
-    entries: list[RunEntry] = []
     if path.is_dir():
         files = sorted(p for p in path.iterdir() if p.is_file())
         if not files:
             raise ConfigError(f"runs directory {path} contains no files")
     else:
         files = [path]
+    groups: _RunColumns = {}
     for f in files:
-        with open(f, "r", encoding="utf-8") as fh:
+        with open(f, "r", encoding="utf-8-sig") as fh:
+            if not _read_columns(fh, groups, strict_scores):
+                break
+    else:
+        return RunSet._from_columns(groups)
+    del groups
+    entries: list[RunEntry] = []
+    for f in files:
+        with open(f, "r", encoding="utf-8-sig") as fh:
             try:
                 entries.extend(iter_run_entries(fh))
             except UnicodeDecodeError as exc:
@@ -328,13 +377,91 @@ def load_runs(path: str | Path, strict_scores: bool = False) -> RunSet:
     return RunSet(entries, strict_scores=strict_scores)
 
 
+def _read_columns(fh: IO[str], groups: _RunColumns, strict_scores: bool) -> bool:
+    """Add the groups of one run file to `groups`; False where the file needs the line parser.
+
+    The file is read in chunks of `_CHUNK_CHARS`, split and transposed into
+    columns, and checked one group at a time with list operations. A group
+    starts at each rank 1; the last group of a chunk is held back, since it
+    may continue in the next one. A group is accepted when every line has 6
+    fields, the first does not start with "#", the ranks are exactly 1..n,
+    the query and system are constant, the documents are unique, the key was
+    not seen before, and (in strict mode) the scores do not increase.
+    """
+    queries: list[str] = []
+    docs: list[str] = []
+    ranks: list[int] = []
+    scores: list[float] = []
+    systems: list[str] = []
+    while True:
+        try:
+            lines = fh.readlines(_CHUNK_CHARS)
+        except UnicodeDecodeError:
+            return False
+        more = bool(lines)
+        held = len(ranks)
+        if more:
+            rows = list(map(str.split, lines))
+            del lines
+            if set(map(len, rows)) != {6}:
+                return False
+            q, _, d, r, s, y = zip(*rows)
+            del rows
+            try:
+                new_ranks = list(map(int, r))
+                new_scores = list(map(float, s))
+            except ValueError:
+                return False
+            if not all(map(math.isfinite, new_scores)):
+                return False
+            queries += q
+            docs += d
+            ranks += new_ranks
+            scores += new_scores
+            systems += y
+        if not ranks:
+            return True
+        if ranks[0] != 1:
+            return False
+        start = 0
+        while start < len(ranks):
+            try:
+                # The held-back group has no rank 1 after its first line.
+                stop = ranks.index(1, max(start + 1, held))
+            except ValueError:
+                if more:
+                    break  # hold the last group back: it may continue in the next chunk
+                stop = len(ranks)
+            n = stop - start
+            query, system = queries[start], systems[start]
+            group_docs = tuple(docs[start:stop])
+            group_scores = tuple(scores[start:stop])
+            if (
+                (system, query) in groups
+                or query.startswith("#")
+                or ranks[start:stop] != list(range(1, n + 1))
+                or queries[start:stop].count(query) != n
+                or systems[start:stop].count(system) != n
+                or len(set(group_docs)) != n
+                or (strict_scores and list(group_scores) != sorted(group_scores, reverse=True))
+            ):
+                return False
+            groups[(system, query)] = (group_docs, group_scores)
+            start = stop
+        if not more:
+            return True
+        del queries[:start], docs[:start], ranks[:start], scores[:start], systems[:start]
+
+
 def load_judgments(path: str | Path, grade_map: Mapping[int, Relevance] | None = None) -> JudgmentSet:
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             return parse_judgments(fh, grade_map)
         except UnicodeDecodeError as exc:
             raise _decode_error(path, exc) from exc
+        except (ParseError, ValidationError, ConfigError) as exc:
+            raise type(exc)(f"{path.name}: {exc}") from exc
 
 
 def _decode_error(path: Path, exc: UnicodeDecodeError) -> ParseError:

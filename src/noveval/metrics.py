@@ -180,12 +180,10 @@ def average_precision(assignment_x: RankAssignment, relevant_docs: set[str]) -> 
     r = len(relevant_docs)
     if r == 0:
         return None
-    hits = 0
+    hit_ranks = sorted(assignment_x[d] for d in relevant_docs if d in assignment_x)
     acc = Fraction(0)
-    for rank, doc in sorted((rank, doc) for doc, rank in assignment_x.items()):
-        if doc in relevant_docs:
-            hits += 1
-            acc += Fraction(hits, rank)
+    for hits, rank in enumerate(hit_ranks, start=1):
+        acc += Fraction(hits, rank)
     return float(acc / r)
 
 

@@ -285,3 +285,47 @@ def test_one_row_ranking_rejected_without_assert():
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_qrels_errors_name_the_file(corpus, tmp_path, capsys):
+    runs, _ = corpus
+    qrels = tmp_path / "short-qrels.txt"
+    qrels.write_text("q1 0 d1 2\nq1 0 d2\n")
+    assert main(["--runs", str(runs), "--qrels", str(qrels), "--depth", "10"]) == 1
+    line = _single_error_line(capsys.readouterr().err)
+    assert line == "error: short-qrels.txt: line 2: expected 4 whitespace-separated fields, got 3"
+    qrels.write_text("q1 0 d1 7\n")
+    assert main(["--runs", str(runs), "--qrels", str(qrels), "--depth", "10"]) == 1
+    line = _single_error_line(capsys.readouterr().err)
+    assert line.startswith("error: short-qrels.txt: line 1: grade value 7 has no mapping")
+    qrels.write_text("q1 0 d1 2\nq1 0 d1 0\n")
+    assert main(["--runs", str(runs), "--qrels", str(qrels), "--depth", "10"]) == 1
+    line = _single_error_line(capsys.readouterr().err)
+    assert line.startswith("error: short-qrels.txt: conflicting grades")
+
+
+def test_five_then_seven_fields_names_the_first_line(tmp_path, capsys):
+    runs = tmp_path / "runs.txt"
+    runs.write_text("q1 0 d1 1 0.9\nq1 0 d2 2 0.8 s1 extra\n")
+    qrels = tmp_path / "qrels.txt"
+    qrels.write_text(QRELS)
+    assert main(["--runs", str(runs), "--qrels", str(qrels), "--depth", "10"]) == 1
+    line = _single_error_line(capsys.readouterr().err)
+    assert line == "error: runs.txt: line 1: expected 6 whitespace-separated fields, got 5"
+
+
+def test_byte_order_mark_is_dropped(tmp_path, capsys):
+    reports = []
+    for bom in ("", "\ufeff"):
+        runs = tmp_path / f"runs{len(bom)}.txt"
+        qrels = tmp_path / f"qrels{len(bom)}.txt"
+        runs.write_text(bom + RUNS, encoding="utf-8")
+        qrels.write_text(bom + QRELS, encoding="utf-8")
+        code = main(["--runs", str(runs), "--qrels", str(qrels), "--depth", "10",
+                     "--format", "json", "--per-query"])
+        assert code == 0, capsys.readouterr().err
+        doc = json.loads(capsys.readouterr().out)
+        del doc["metadata"]["inputs"]  # the digests cover the mark
+        reports.append(doc)
+    assert reports[0] == reports[1]
+    assert reports[1]["per_query"]["queries"] == ["q1"]

@@ -1,4 +1,5 @@
 import io
+import json
 import random
 
 import pytest
@@ -10,12 +11,15 @@ from noveval import (
     RunEntry,
     RunSet,
     ValidationError,
+    load_runs,
     parse_judgments,
     parse_run_file,
     parse_topics,
     write_judgments,
     write_run_file,
 )
+from noveval import corpus_io
+from noveval.cli import main
 from noveval.errors import ConfigError
 
 RUN_FRAGMENT = """\
@@ -211,3 +215,175 @@ def test_judgmentset_absent_means_unjudged():
     js = JudgmentSet({})
     assert js.grade("q", "d") is None
     assert js.relevant_docs("q") == set()
+
+
+# Columnar fast path of load_runs against the line parser
+
+
+def _corpus_lines(seed: int = 7) -> list[str]:
+    """Canonical run lines: 4 systems x 3 queries, groups in rank order."""
+    rng = random.Random(seed)
+    entries = []
+    for system in ("s0", "s1", "s2", "s3"):
+        for query in ("q0", "q1", "q2"):
+            docs = rng.sample(range(200), rng.randint(1, 40))
+            score = 1.0
+            for rank, doc in enumerate(docs, start=1):
+                score = round(score * rng.uniform(0.8, 1.0), 6)
+                entries.append(RunEntry(query, f"d{doc}", rank, score, system))
+    sink = io.StringIO()
+    write_run_file(RunSet(entries), sink)
+    return sink.getvalue().splitlines(keepends=True)
+
+
+def _write_forms(tmp_path, lines: list[str]) -> dict:
+    """The same runs as one canonical file and in four other layouts."""
+    forms = {}
+    canonical = tmp_path / "canonical.txt"
+    canonical.write_text("".join(lines))
+    forms["canonical"] = canonical
+
+    shuffled = list(lines)
+    random.Random(3).shuffle(shuffled)
+    forms["shuffled"] = tmp_path / "shuffled.txt"
+    forms["shuffled"].write_text("".join(shuffled))
+
+    commented = ["# a comment line\n"] + lines[:10] + ["\n", "   \n"] + lines[10:]
+    forms["commented"] = tmp_path / "commented.txt"
+    forms["commented"].write_text("".join(commented))
+
+    per_system = tmp_path / "per_system"
+    per_system.mkdir()
+    for system in ("s0", "s1", "s2", "s3"):
+        own = [line for line in lines if line.split()[5] == system]
+        (per_system / f"{system}.txt").write_text("".join(own))
+    forms["per_system"] = per_system
+
+    # The group (s1, q1) continues from a.txt into b.txt.
+    split = tmp_path / "split_group"
+    split.mkdir()
+    group = [i for i, line in enumerate(lines) if line.split()[::5] == ["q1", "s1"]]
+    assert len(group) >= 2
+    cut = group[len(group) // 2]
+    tail = lines[cut:group[-1] + 1]
+    (split / "a.txt").write_text("".join(lines[:cut] + lines[group[-1] + 1:]))
+    (split / "b.txt").write_text("".join(tail))
+    forms["split_group"] = split
+    return forms
+
+
+def _report(runs_path, qrels_path, out_path) -> dict:
+    code = main(["--runs", str(runs_path), "--qrels", str(qrels_path), "--depth", "30",
+                 "--format", "json", "--per-query", "--out", str(out_path)])
+    assert code == 0
+    doc = json.loads(out_path.read_text())
+    del doc["metadata"]["inputs"]  # file digests differ between layouts
+    return doc
+
+
+def _refuse_line_parser(monkeypatch):
+    def refuse(stream):
+        raise AssertionError("the line parser ran on an input the fast path should take")
+
+    monkeypatch.setattr(corpus_io, "iter_run_entries", refuse)
+
+
+def test_fast_path_equals_line_parser_in_every_layout(tmp_path):
+    lines = _corpus_lines()
+    forms = _write_forms(tmp_path, lines)
+    reference = parse_run_file(io.StringIO("".join(lines)))
+    qrels = tmp_path / "qrels.txt"
+    docs = sorted({line.split()[2] for line in lines})
+    qrels.write_text("".join(
+        f"{q} 0 {d} 2\n" for q in ("q0", "q1", "q2") for d in random.Random(5).sample(docs, 25)
+    ))
+    expected = _report(forms["canonical"], qrels, tmp_path / "canonical.json")
+    for name, path in forms.items():
+        assert load_runs(path) == reference, name
+        assert _report(path, qrels, tmp_path / f"{name}.json") == expected, name
+
+
+def test_canonical_layouts_skip_the_line_parser(tmp_path, monkeypatch):
+    lines = _corpus_lines()
+    forms = _write_forms(tmp_path, lines)
+    reference = parse_run_file(io.StringIO("".join(lines)))
+    _refuse_line_parser(monkeypatch)
+    assert load_runs(forms["canonical"]) == reference
+    assert load_runs(forms["per_system"]) == reference
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 40, 333, 1000])
+def test_groups_straddling_chunk_boundaries(tmp_path, monkeypatch, chunk_chars):
+    lines = _corpus_lines(seed=chunk_chars)
+    path = tmp_path / "runs.txt"
+    path.write_text("".join(lines))
+    assert path.stat().st_size > 4 * chunk_chars  # several chunks, groups cut mid-way
+    reference = parse_run_file(io.StringIO("".join(lines)))
+    _refuse_line_parser(monkeypatch)
+    monkeypatch.setattr(corpus_io, "_CHUNK_CHARS", chunk_chars)
+    runs = load_runs(path)
+    assert runs == reference
+    assert list(runs.entries()) == list(reference.entries())
+
+
+def test_strict_scores_fast_path(tmp_path, monkeypatch):
+    path = tmp_path / "runs.txt"
+    path.write_text("q1 0 d1 1 0.9 s1\nq1 0 d2 2 0.9 s1\nq1 0 d3 3 0.1 s1\n")
+    _refuse_line_parser(monkeypatch)
+    assert len(load_runs(path, strict_scores=True)) == 3
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "q1 0 d1 01 0.9 s1\nq1 0 d2 +2 0.8 s1\n",  # ranks int() accepts
+        "q1 0 d1 1 0.9 s1\r\nq1 0 d2 2 0.8 s1\r\n",  # CRLF
+        "q1 0 d1 1 0.9 s1\rq1 0 d2 2 0.8 s1\r",  # lone CR
+        "\ufeffq1 0 d1 1 0.9 s1\nq1 0 d2 2 0.8 s1\n",  # byte-order mark
+        "# c 0 d 1 0.5 s\nq1 0 d1 1 0.9 s1\n",  # 6-token comment line
+        "q1 0 d1 1 0.9 s1\n\nq1 0 d2 2 0.8 s1\n",  # blank line inside a group
+        "q1 0 d2 2 0.8 s1\nq1 0 d1 1 0.9 s1\n",  # lines out of rank order
+        "q1 0 d1 1 0.9 s1\nq2 0 d1 1 0.9 s1\nq1 0 d2 2 0.8 s1\n",  # group reappears
+        "q1 0 d1 1 0.9 s1\nq1 0 d2 2 0.8 s1",  # no final newline
+    ],
+)
+def test_valid_edge_files_load_as_the_line_parser_reads_them(tmp_path, text):
+    path = tmp_path / "runs.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, encoding="utf-8-sig") as fh:
+        reference = parse_run_file(fh)
+    assert len(reference) >= 1
+    assert load_runs(path) == reference
+
+
+@pytest.mark.parametrize(
+    "text,error,message",
+    [
+        ("q1 0 d1 1 0.9\nq1 0 d2 2 0.8 s1 x\n", ParseError,
+         "runs.txt: line 1: expected 6 whitespace-separated fields, got 5"),
+        ("q1 0 d1 1 0.9 s1\nq1 0 d2 3 0.8 s1\n", ValidationError,
+         "ranks for system 's1', query 'q1' are not contiguous 1..2 (missing [2])"),
+        ("q1 0 d1 1 0.9 s1\nq1 0 d1 2 0.8 s1\n", ValidationError,
+         "runs.txt: duplicate document 'd1' for system 's1', query 'q1' (line 2)"),
+        ("q1 0 d1 1 nan s1\n", ParseError, "runs.txt: line 1: score is not finite: 'nan'"),
+        ("q1 0 d1 1 0.9 s1\nq2 0 d2 2 0.8 s1\n", ValidationError,
+         "ranks for system 's1', query 'q2' are not contiguous 1..1 (missing [1])"),
+        ("q1 0 d1 one 0.9 s1\n", ParseError, "runs.txt: line 1: rank is not an integer: 'one'"),
+        ("q1 0 d1 1 0.9 s1\nq1 0 d2 1 0.8 s1\n", ValidationError,
+         "duplicate rank 1 for system 's1', query 'q1'"),
+    ],
+)
+def test_invalid_files_fail_as_the_line_parser_says(tmp_path, text, error, message):
+    path = tmp_path / "runs.txt"
+    path.write_text(text)
+    with pytest.raises(error) as info:
+        load_runs(path)
+    assert str(info.value) == message
+
+
+def test_strict_scores_error_comes_from_the_line_parser(tmp_path):
+    path = tmp_path / "runs.txt"
+    path.write_text("q1 0 d1 1 0.1 s1\nq1 0 d2 2 0.9 s1\n")
+    with pytest.raises(ValidationError, match="score increases from rank 1 to 2"):
+        load_runs(path, strict_scores=True)
+    assert len(load_runs(path)) == 2

@@ -206,6 +206,25 @@ class TestAveragePrecision:
             ap = average_precision(assignment, {"a", "b"})
             assert 0.0 <= ap <= 1.0
 
+    def test_hits_only_sort_bit_identical_to_full_sort(self):
+        def full_sort_ap(assignment, relevant):
+            # Sorts every ranked document, then sums one Fraction per hit.
+            hits, acc = 0, Fraction(0)
+            for rank, doc in sorted((rank, doc) for doc, rank in assignment.items()):
+                if doc in relevant:
+                    hits += 1
+                    acc += Fraction(hits, rank)
+            return float(acc / len(relevant))
+
+        rng = random.Random(11)
+        for _ in range(2000):
+            n = rng.randint(0, 60)
+            universe = [f"d{i}" for i in range(n + rng.randint(1, 20))]
+            ranked = rng.sample(universe, n)
+            assignment = {doc: rank for rank, doc in enumerate(ranked, start=1)}
+            relevant = set(rng.sample(universe, rng.randint(1, len(universe))))
+            assert average_precision(assignment, relevant) == full_sort_ap(assignment, relevant)
+
 
 class TestPrecisionRecall:
     def test_direct_count(self):
