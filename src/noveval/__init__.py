@@ -6,12 +6,10 @@ from .corpus_io import (
     Relevance,
     RunEntry,
     RunSet,
-    TopicMeta,
     load_judgments,
     load_runs,
     parse_judgments,
     parse_run_file,
-    parse_topics,
     write_judgments,
     write_run_file,
 )
@@ -39,7 +37,6 @@ from .metrics import (
     average_precision,
     document_utility,
     pooled_probability,
-    precision_recall,
     read_probability,
     total_utility,
 )

@@ -46,12 +46,13 @@ def _signed(diff: int) -> str:
     return f"+{diff}" if diff > 0 else str(diff)
 
 
-def _columnize(rows: list[list[str]], right_align_from: int = 1) -> str:
+def _columnize(rows: list[list[str]]) -> str:
+    """Left-align the first column and right-align the rest."""
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     out = []
     for row in rows:
         cells = [
-            cell.rjust(w) if i >= right_align_from else cell.ljust(w)
+            cell.rjust(w) if i else cell.ljust(w)
             for i, (cell, w) in enumerate(zip(row, widths))
         ]
         out.append("  ".join(cells).rstrip())

@@ -1,4 +1,4 @@
-"""Parsers and writers for run files, relevance judgments, and topic metadata.
+"""Parsers and writers for run files and relevance judgments.
 
 File formats:
   run file   - 6 whitespace-separated columns per line:
@@ -9,18 +9,18 @@ File formats:
                query-id  iter  doc-id  grade
                The iter column is ignored; the integer grade is translated
                through a configurable grade map.
-  topics     - SGML-style <TOPIC> elements containing <TOPIC-ID>,
-               <DESCRIPTION> and <NARRATIVE>.
 
 Run and judgment files are read as UTF-8; a leading byte-order mark is
 dropped.
 
 A `RunSet` stores each (system, query) group as two columns in rank order:
-document ids and scores. `load_runs` first tries a columnar fast path that
-reads each file in bounded chunks and accepts only files whose lines come
-as whole groups in rank order, each group once. On anything else it reads
-every file again with the line parser (`iter_run_entries` and `RunSet`),
-which alone decides what is valid and what every error says.
+document ids and scores. `load_runs` first tries a columnar fast path on
+each file: it reads the file in bounded chunks and accepts it only if its
+lines come as whole groups in rank order, each group once. A file it does
+not accept is read again with the line parser (`iter_run_entries`), and
+`RunSet` merges and checks those entries together with the fast-path
+groups they share a key with; the line parser and `RunSet` alone decide
+what is valid and what every error says.
 
 All parsed structures are immutable after construction and safe to share
 across threads.
@@ -29,7 +29,6 @@ across threads.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -39,7 +38,8 @@ from .errors import ConfigError, ParseError, ValidationError
 
 
 def _check_token(value: str, what: str) -> str:
-    if not value or any(ch.isspace() for ch in value):
+    # Non-empty and free of whitespace: str.split() splits on every str.isspace character.
+    if value.split() != [value]:
         raise ValidationError(f"{what} must be a non-empty token without whitespace: {value!r}")
     return value
 
@@ -57,6 +57,16 @@ class RunEntry:
 
 #: (system, query) -> (document ids, scores), both in rank order.
 _RunColumns = dict[tuple[str, str], tuple[tuple[str, ...], tuple[float, ...]]]
+
+
+def _group_entries(
+    key: tuple[str, str], columns: tuple[tuple[str, ...], tuple[float, ...]]
+) -> Iterator[RunEntry]:
+    """The entries of one (system, query) group, in rank order."""
+    system, query = key
+    docs, scores = columns
+    for rank, (doc, score) in enumerate(zip(docs, scores), start=1):
+        yield RunEntry(query=query, doc=doc, rank=rank, score=score, system=system)
 
 
 class RunSet:
@@ -127,10 +137,7 @@ class RunSet:
     def entries(self) -> Iterator[RunEntry]:
         """All entries in deterministic (system, query, rank) order."""
         for key in sorted(self._groups):
-            system, query = key
-            docs, scores = self._groups[key]
-            for rank, (doc, score) in enumerate(zip(docs, scores), start=1):
-                yield RunEntry(query=query, doc=doc, rank=rank, score=score, system=system)
+            yield from _group_entries(key, self._groups[key])
 
     def ranking(self, system: str, query: str, depth: int | None = None) -> dict[str, int]:
         """Document -> rank map for one (system, query), truncated to `depth`."""
@@ -191,13 +198,6 @@ class JudgmentSet:
         if not isinstance(other, JudgmentSet):
             return NotImplemented
         return self._grades == other._grades
-
-
-@dataclass(frozen=True)
-class TopicMeta:
-    query: str
-    description: str
-    narrative: str
 
 
 def _iter_records(stream: IO[str], n_cols: int) -> Iterator[tuple[int, list[str]]]:
@@ -272,68 +272,24 @@ def parse_judgments(stream: IO[str], grade_map: Mapping[int, Relevance] | None =
     return JudgmentSet(grades)
 
 
-_TOPIC_RE = re.compile(r"<TOPIC>(.*?)</TOPIC>", re.DOTALL)
-
-
-def _tag_content(block: str, tag: str, required: bool) -> str:
-    open_t, close_t = f"<{tag}>", f"</{tag}>"
-    start = block.find(open_t)
-    if start == -1:
-        if required:
-            raise ParseError(f"missing <{tag}> element")
-        return ""
-    end = block.find(close_t, start)
-    if end == -1:
-        raise ParseError(f"unclosed <{tag}> element")
-    return " ".join(block[start + len(open_t):end].split())
-
-
-def parse_topics(stream: IO[str], lenient: bool = False) -> list[TopicMeta]:
-    """Parse SGML-style topic elements, preserving document order."""
-    text = stream.read()
-    blocks = _TOPIC_RE.findall(text)
-    if text.count("<TOPIC>") != len(blocks):
-        raise ParseError("unclosed <TOPIC> element")
-    topics = []
-    for block in blocks:
-        query = _tag_content(block, "TOPIC-ID", required=True)
-        description = _tag_content(block, "DESCRIPTION", required=False)
-        narrative = _tag_content(block, "NARRATIVE", required=False)
-        if not query:
-            raise ParseError("empty <TOPIC-ID> element")
-        if not description and not lenient:
-            raise ParseError(f"topic {query!r} has an empty description (lenient mode off)")
-        topics.append(TopicMeta(query=query, description=description, narrative=narrative))
-    return topics
-
-
 def write_run_file(runs: RunSet, sink: IO[str]) -> None:
     """Emit the 6-column format with dummy column "0" and 6-decimal scores."""
-    for e in runs.entries():
-        _check_token(e.query, "query id")
-        _check_token(e.doc, "doc id")
-        _check_token(e.system, "system id")
-        sink.write(f"{e.query} 0 {e.doc} {e.rank} {e.score:.6f} {e.system}\n")
+    for (system, query), (docs, scores) in sorted(runs._groups.items()):
+        _check_token(query, "query id")
+        _check_token(system, "system id")
+        for doc in docs:
+            _check_token(doc, "doc id")
+        sink.writelines(
+            f"{query} 0 {doc} {rank} {score:.6f} {system}\n"
+            for rank, (doc, score) in enumerate(zip(docs, scores), start=1)
+        )
 
 
-#: Inverse of DEFAULT_GRADE_MAP, used when serializing judgments.
-DEFAULT_GRADE_VALUES: dict[Relevance, int] = {
-    Relevance.RELEVANT: 2,
-    Relevance.PARTIALLY_RELEVANT: 1,
-    Relevance.IRRELEVANT: 0,
-}
-
-
-def write_judgments(
-    judgments: JudgmentSet,
-    sink: IO[str],
-    grade_values: Mapping[Relevance, int] | None = None,
-) -> None:
-    """Emit the 4-column judgment format with iter column "0"."""
-    if grade_values is None:
-        grade_values = DEFAULT_GRADE_VALUES
+def write_judgments(judgments: JudgmentSet, sink: IO[str]) -> None:
+    """Emit the 4-column judgment format with iter column "0" and grades 2/1/0."""
+    values = {grade: value for value, grade in DEFAULT_GRADE_MAP.items()}
     for query, doc, grade in judgments.items():
-        sink.write(f"{query} 0 {doc} {grade_values[grade]}\n")
+        sink.write(f"{query} 0 {doc} {values[grade]}\n")
 
 
 #: Characters of run file read per chunk by the columnar fast path in `load_runs`.
@@ -343,12 +299,14 @@ _CHUNK_CHARS = 1 << 16
 def load_runs(path: str | Path, strict_scores: bool = False) -> RunSet:
     """Load runs from a single file or from every regular file in a directory.
 
-    Files whose lines come as whole (system, query) groups in rank order,
-    each group once, are read in columns by `_read_columns`. Any other input
-    (comments, blank lines, other line orders, a group that continues in a
-    later file, or a line the fast path does not accept) makes every file be
-    read again by `iter_run_entries` and `RunSet`, which alone decide what is
-    valid and what an error says.
+    A file whose lines come as whole (system, query) groups in rank order,
+    each group once and none read from an earlier file, is read in columns
+    by `_read_columns`. Any other file (comments, blank lines, other line
+    orders, a group that continues from an earlier file, or a line the fast
+    path does not accept) is read by `iter_run_entries`. `RunSet` then
+    merges and checks those entries, in file order, together with the
+    fast-path groups that share their keys; the line parser and `RunSet`
+    alone decide what is valid and what an error says.
     """
     path = Path(path)
     if path.is_dir():
@@ -357,37 +315,61 @@ def load_runs(path: str | Path, strict_scores: bool = False) -> RunSet:
             raise ConfigError(f"runs directory {path} contains no files")
     else:
         files = [path]
+    # Per file, in order: its groups (fast path) or its entries (line parser).
+    parts: list[_RunColumns | list[RunEntry]] = []
+    seen: set[tuple[str, str]] = set()
+    for f in files:
+        with open(f, "r", encoding="utf-8-sig") as fh:
+            part = _read_columns(fh, seen, strict_scores)
+        if part is None:
+            part = _read_entries(f)
+            seen.update((e.system, e.query) for e in part)
+        else:
+            seen.update(part)
+        parts.append(part)
+    slow = {(e.system, e.query) for part in parts if isinstance(part, list) for e in part}
     groups: _RunColumns = {}
-    for f in files:
-        with open(f, "r", encoding="utf-8-sig") as fh:
-            if not _read_columns(fh, groups, strict_scores):
-                break
-    else:
-        return RunSet._from_columns(groups)
-    del groups
     entries: list[RunEntry] = []
-    for f in files:
-        with open(f, "r", encoding="utf-8-sig") as fh:
-            try:
-                entries.extend(iter_run_entries(fh))
-            except UnicodeDecodeError as exc:
-                raise _decode_error(f, exc) from exc
-            except (ParseError, ValidationError) as exc:
-                raise type(exc)(f"{f.name}: {exc}") from exc
-    return RunSet(entries, strict_scores=strict_scores)
+    for part in parts:
+        if isinstance(part, list):
+            entries += part
+        else:
+            for key, columns in part.items():
+                if key in slow:
+                    entries += _group_entries(key, columns)
+                else:
+                    groups[key] = columns
+    if entries:
+        groups.update(RunSet(entries, strict_scores=strict_scores)._groups)
+    return RunSet._from_columns(groups)
 
 
-def _read_columns(fh: IO[str], groups: _RunColumns, strict_scores: bool) -> bool:
-    """Add the groups of one run file to `groups`; False where the file needs the line parser.
+def _read_entries(path: Path) -> list[RunEntry]:
+    """Read one run file with the line parser; errors name the file."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        try:
+            return list(iter_run_entries(fh))
+        except UnicodeDecodeError as exc:
+            raise _decode_error(path, exc) from exc
+        except (ParseError, ValidationError) as exc:
+            raise type(exc)(f"{path.name}: {exc}") from exc
+
+
+def _read_columns(
+    fh: IO[str], seen: set[tuple[str, str]], strict_scores: bool
+) -> _RunColumns | None:
+    """The groups of one run file, or None where the file needs the line parser.
 
     The file is read in chunks of `_CHUNK_CHARS`, split and transposed into
     columns, and checked one group at a time with list operations. A group
     starts at each rank 1; the last group of a chunk is held back, since it
     may continue in the next one. A group is accepted when every line has 6
     fields, the first does not start with "#", the ranks are exactly 1..n,
-    the query and system are constant, the documents are unique, the key was
-    not seen before, and (in strict mode) the scores do not increase.
+    the query and system are constant, the documents are unique, the key is
+    neither in `seen` nor earlier in this file, and (in strict mode) the
+    scores do not increase.
     """
+    groups: _RunColumns = {}
     queries: list[str] = []
     docs: list[str] = []
     ranks: list[int] = []
@@ -397,32 +379,32 @@ def _read_columns(fh: IO[str], groups: _RunColumns, strict_scores: bool) -> bool
         try:
             lines = fh.readlines(_CHUNK_CHARS)
         except UnicodeDecodeError:
-            return False
+            return None
         more = bool(lines)
         held = len(ranks)
         if more:
             rows = list(map(str.split, lines))
             del lines
             if set(map(len, rows)) != {6}:
-                return False
+                return None
             q, _, d, r, s, y = zip(*rows)
             del rows
             try:
                 new_ranks = list(map(int, r))
                 new_scores = list(map(float, s))
             except ValueError:
-                return False
+                return None
             if not all(map(math.isfinite, new_scores)):
-                return False
+                return None
             queries += q
             docs += d
             ranks += new_ranks
             scores += new_scores
             systems += y
         if not ranks:
-            return True
+            return groups
         if ranks[0] != 1:
-            return False
+            return None
         start = 0
         while start < len(ranks):
             try:
@@ -434,10 +416,12 @@ def _read_columns(fh: IO[str], groups: _RunColumns, strict_scores: bool) -> bool
                 stop = len(ranks)
             n = stop - start
             query, system = queries[start], systems[start]
+            key = (system, query)
             group_docs = tuple(docs[start:stop])
             group_scores = tuple(scores[start:stop])
             if (
-                (system, query) in groups
+                key in groups
+                or key in seen
                 or query.startswith("#")
                 or ranks[start:stop] != list(range(1, n + 1))
                 or queries[start:stop].count(query) != n
@@ -445,11 +429,11 @@ def _read_columns(fh: IO[str], groups: _RunColumns, strict_scores: bool) -> bool
                 or len(set(group_docs)) != n
                 or (strict_scores and list(group_scores) != sorted(group_scores, reverse=True))
             ):
-                return False
-            groups[(system, query)] = (group_docs, group_scores)
+                return None
+            groups[key] = (group_docs, group_scores)
             start = stop
         if not more:
-            return True
+            return groups
         del queries[:start], docs[:start], ranks[:start], scores[:start], systems[:start]
 
 

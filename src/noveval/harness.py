@@ -42,7 +42,6 @@ class SystemQueryResult:
     query: str
     utility: UtilityScore
     ap: float | None
-    relevant_count: int
 
 
 def run_leave_one_out(
@@ -70,15 +69,7 @@ def run_leave_one_out(
             pool = [rankings[(y, query)] for y in plan.systems if y != system]
             utility = total_utility(rankings[(system, query)], pool, relevant, cfg)
             ap = average_precision(rankings[(system, query)], relevant)
-            results.append(
-                SystemQueryResult(
-                    system=system,
-                    query=query,
-                    utility=utility,
-                    ap=ap,
-                    relevant_count=len(relevant),
-                )
-            )
+            results.append(SystemQueryResult(system=system, query=query, utility=utility, ap=ap))
     return results
 
 
@@ -117,51 +108,41 @@ class RankingTable:
         return sorted(self.rows, key=lambda row: row.utility_rank)
 
 
-def _check_grid(results: list[SystemQueryResult]) -> tuple[list[str], list[str]]:
+def _grid(
+    results: list[SystemQueryResult],
+) -> tuple[list[str], list[str], dict[tuple[str, str], SystemQueryResult], list[str]]:
+    """Check that `results` fill the (system, query) grid exactly once.
+
+    Returns the sorted systems and queries, the results by (system, query),
+    and the queries where AP is defined for every system.
+    """
     systems = sorted({r.system for r in results})
     queries = sorted({r.query for r in results})
-    cells = {(r.system, r.query) for r in results}
-    missing = [
-        (s, q) for s in systems for q in queries if (s, q) not in cells
-    ]
+    by_cell = {(r.system, r.query): r for r in results}
+    missing = [(s, q) for s in systems for q in queries if (s, q) not in by_cell]
     if missing or len(results) != len(systems) * len(queries):
         raise ValidationError(f"result grid is incomplete; missing cells: {missing[:10]}")
-    return systems, queries
+    defined = [q for q in queries if all(by_cell[(s, q)].ap is not None for s in systems)]
+    return systems, queries, by_cell, defined
 
 
-def aggregate(
-    results: list[SystemQueryResult],
-    scheme: str = "sum",
-    ap_scheme: str = "mean",
-) -> RankingTable:
+def aggregate(results: list[SystemQueryResult], scheme: str = "sum") -> RankingTable:
     """Aggregate per-query scores across queries and assign both rankings.
 
     Utility uses `scheme` (sum by default; mean yields the same ordering when
-    every query is defined). AP uses `ap_scheme` (mean by default, the usual
-    mean-average-precision reading); queries with no relevant documents are
-    excluded from the AP aggregate for every system symmetrically.
+    every query is defined). AP is the mean over the queries where it is
+    defined (mean average precision); queries with no relevant documents are
+    excluded from it for every system symmetrically.
     """
     if scheme not in ("sum", "mean"):
         raise ConfigError(f"unknown aggregation scheme: {scheme!r}")
-    if ap_scheme not in ("sum", "mean"):
-        raise ConfigError(f"unknown AP aggregation scheme: {ap_scheme!r}")
-    systems, queries = _check_grid(results)
-    by_cell = {(r.system, r.query): r for r in results}
-    defined_queries = [
-        q for q in queries if all(by_cell[(s, q)].ap is not None for s in systems)
-    ]
-
-    def _agg(values: list[float], how: str) -> float:
-        if not values:
-            return 0.0
-        total = sum(values)
-        return total / len(values) if how == "mean" else total
-
-    utility_scores = {
-        s: _agg([by_cell[(s, q)].utility.total for q in queries], scheme) for s in systems
-    }
+    systems, queries, by_cell, defined = _grid(results)
+    utility_scores = {s: sum(by_cell[(s, q)].utility.total for q in queries) for s in systems}
+    if scheme == "mean":
+        utility_scores = {s: u / len(queries) for s, u in utility_scores.items()}
     ap_scores = {
-        s: _agg([by_cell[(s, q)].ap for q in defined_queries], ap_scheme) for s in systems
+        s: sum(by_cell[(s, q)].ap for q in defined) / len(defined) if defined else 0.0
+        for s in systems
     }
     utility_ranks = tie_break(sorted(utility_scores.items()))
     ap_ranks = tie_break(sorted(ap_scores.items()))
@@ -192,17 +173,11 @@ class PerQueryDiffMatrix:
 
 def per_query_diffs(results: list[SystemQueryResult]) -> PerQueryDiffMatrix:
     """Rank systems per query by AP and by utility independently; cell = rank gap."""
-    systems, queries = _check_grid(results)
-    by_cell = {(r.system, r.query): r for r in results}
-    kept_queries = [
-        q for q in queries if all(by_cell[(s, q)].ap is not None for s in systems)
-    ]
+    systems, _, by_cell, defined = _grid(results)
     diffs: dict[tuple[str, str], int] = {}
-    for q in kept_queries:
+    for q in defined:
         ap_ranks = tie_break([(s, by_cell[(s, q)].ap) for s in systems])
         utility_ranks = tie_break([(s, by_cell[(s, q)].utility.total) for s in systems])
         for s in systems:
             diffs[(s, q)] = ap_ranks[s] - utility_ranks[s]
-    return PerQueryDiffMatrix(
-        systems=tuple(systems), queries=tuple(kept_queries), diffs=diffs
-    )
+    return PerQueryDiffMatrix(systems=tuple(systems), queries=tuple(defined), diffs=diffs)

@@ -1,4 +1,4 @@
-"""Read-probability model, per-document and total utility, and AP/P-R baselines.
+"""Read-probability model, per-document and total utility, and the AP baseline.
 
 The user model: given a ranking of N documents, the reader picks a cutoff
 threshold uniformly from the N choices and reads everything at or above it,
@@ -185,17 +185,3 @@ def average_precision(assignment_x: RankAssignment, relevant_docs: set[str]) -> 
     for hits, rank in enumerate(hit_ranks, start=1):
         acc += Fraction(hits, rank)
     return float(acc / r)
-
-
-def precision_recall(
-    assignment_x: RankAssignment, relevant_docs: set[str], cutoff: int
-) -> tuple[float | None, float | None]:
-    """(precision, recall) at `cutoff`; either side is None when undefined."""
-    if cutoff < 1:
-        raise ConfigError(f"cutoff must be >= 1, got {cutoff}")
-    retrieved = [doc for doc, rank in assignment_x.items() if rank <= cutoff]
-    hits = sum(1 for doc in retrieved if doc in relevant_docs)
-    denom = min(cutoff, len(assignment_x))
-    precision = hits / denom if denom > 0 else None
-    recall = hits / len(relevant_docs) if relevant_docs else None
-    return precision, recall

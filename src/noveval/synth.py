@@ -13,8 +13,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .corpus_io import JudgmentSet, Relevance, RunEntry, RunSet
-from .errors import ConfigError, OracleScaleError
+from .corpus_io import JudgmentSet, Relevance, RunSet, _RunColumns
+from .errors import ConfigError, OracleScaleError, ValidationError
 from .metrics import EvalConfig, UtilityScore
 
 #: The oracle refuses larger depths so its quadratic naivety stays honest.
@@ -103,7 +103,8 @@ def generate(spec: SyntheticSpec) -> tuple[RunSet, JudgmentSet]:
     )
     holders = [designated] if designated is not None else systems
 
-    entries: list[RunEntry] = []
+    scores = tuple(_score(rank, spec.depth_n) for rank in range(1, spec.depth_n + 1))
+    columns: _RunColumns = {}
     grades: dict[tuple[str, str], Relevance] = {}
 
     for query in spec.query_ids:
@@ -143,20 +144,14 @@ def generate(spec: SyntheticSpec) -> tuple[RunSet, JudgmentSet]:
             head.extend(mids)
             tail = list(unique[s]) if sink_uniques else []
             n_fill = spec.depth_n - len(head) - len(tail)
-            fillers = [d for d in filler_pool[:-1] if d not in head][:n_fill]
-            docs = head + fillers + tail
-            for rank, doc in enumerate(docs, start=1):
-                entries.append(
-                    RunEntry(
-                        query=query,
-                        doc=doc,
-                        rank=rank,
-                        score=_score(rank, spec.depth_n),
-                        system=s,
-                    )
-                )
+            taken = set(head)
+            fillers = [d for d in filler_pool[:-1] if d not in taken][:n_fill]
+            docs = tuple(head + fillers + tail)
+            if len(set(docs)) != len(docs):
+                raise ValidationError(f"duplicate document for system {s!r}, query {query!r}")
+            columns[(s, query)] = (docs, scores[: len(docs)])
 
-    return RunSet(entries), JudgmentSet(grades)
+    return RunSet._from_columns(columns), JudgmentSet(grades)
 
 
 def _read_probability_enumerated(rank: int | None, depth_n: int) -> Fraction:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -109,6 +110,26 @@ def test_synth_subcommand_pipeline(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "sys00" in out
+
+
+# SHA-256 of runs.txt and qrels.txt written by `noveval synth` with these options.
+SYNTH_GOLDEN = [
+    ([], "d908162153a13dda8181a66384f2006b968e47cda6ae4658ad65124555173e16",
+     "954d09a00fe87993326f545b8e94903c52adb37bfbc16631eaeb24cb6618763f"),
+    (["--designated-system", "1", "--ap-handicap"],
+     "8c84befcb2429e8cc4ec3ea5bde45c6148a5adb801f623e7e0fcb3e4dada3acd",
+     "4f27c962ceec116604d4f688cb58caa0bb632a4aae7ab4abfd9cd798d3f82e40"),
+    (["--systems", "12", "--queries", "8", "--depth", "1000", "--relevant-per-query", "30"],
+     "7251f852f92f97b1729bade867eda8e11f012e426594e1947692faf1c9c5d8bc",
+     "34cc629be967a41026ea04aca4a76442f017fd5bc2b0edc204a912a8ced875d9"),
+]
+
+
+@pytest.mark.parametrize("options,runs_sha,qrels_sha", SYNTH_GOLDEN)
+def test_synth_output_is_pinned(tmp_path, capsys, options, runs_sha, qrels_sha):
+    assert main(["synth", "--out-dir", str(tmp_path), *options]) == 0
+    assert hashlib.sha256((tmp_path / "runs.txt").read_bytes()).hexdigest() == runs_sha
+    assert hashlib.sha256((tmp_path / "qrels.txt").read_bytes()).hexdigest() == qrels_sha
 
 
 def test_grade_map_flag(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import io
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +15,6 @@ from noveval import (
     load_runs,
     parse_judgments,
     parse_run_file,
-    parse_topics,
     write_judgments,
     write_run_file,
 )
@@ -32,16 +32,6 @@ RUN_FRAGMENT = """\
 1007 0 941107114 7 0.217324 1106
 1007 0 940428222 8 0.215979 1106
 """
-
-TOPIC_SGML = """\
-<TOPIC>
-<TOPIC-ID>1001</TOPIC-ID>
-<DESCRIPTION>Corporate merging</DESCRIPTION>
-<NARRATIVE>The article describes a corporate merging and in the
-article, the name of companies have to be identifiable.</NARRATIVE>
-</TOPIC>
-"""
-
 
 def test_parse_run_line():
     runs = parse_run_file(io.StringIO("1007 0 940228106 1 0.306856 1106\n"))
@@ -145,6 +135,17 @@ def test_run_round_trip_randomized():
     assert parse_run_file(io.StringIO(sink.getvalue())) == runs
 
 
+@pytest.mark.parametrize("value", ["", "a\tb", "\t", "a\u00a0b", "a\u2003b", "d42"])
+def test_token_check_rejects_empty_and_any_whitespace(value):
+    valid = bool(value) and not any(ch.isspace() for ch in value)
+    assert valid == (value == "d42")
+    if valid:
+        assert corpus_io._check_token(value, "doc id") == value
+    else:
+        with pytest.raises(ValidationError, match="doc id must be a non-empty token"):
+            corpus_io._check_token(value, "doc id")
+
+
 def test_write_empty_runset():
     sink = io.StringIO()
     write_run_file(RunSet([]), sink)
@@ -185,32 +186,6 @@ def test_relevant_docs_partial_flag():
     assert js.relevant_docs("q", include_partial=True) == {"d1", "d2"}
 
 
-def test_parse_topics_fig_example():
-    [topic] = parse_topics(io.StringIO(TOPIC_SGML))
-    assert topic.query == "1001"
-    assert topic.description == "Corporate merging"
-    assert topic.narrative.startswith("The article describes a corporate merging")
-    # whitespace inside tags is normalized
-    assert "\n" not in topic.narrative
-
-
-def test_parse_topics_empty_and_order():
-    assert parse_topics(io.StringIO("")) == []
-    two = TOPIC_SGML + TOPIC_SGML.replace("1001", "1002")
-    topics = parse_topics(io.StringIO(two))
-    assert [t.query for t in topics] == ["1001", "1002"]
-
-
-def test_parse_topics_unclosed_rejected():
-    with pytest.raises(ParseError, match="unclosed"):
-        parse_topics(io.StringIO("<TOPIC><TOPIC-ID>1</TOPIC-ID>"))
-
-
-def test_parse_topics_missing_id_rejected():
-    with pytest.raises(ParseError, match="TOPIC-ID"):
-        parse_topics(io.StringIO("<TOPIC><DESCRIPTION>x</DESCRIPTION></TOPIC>"))
-
-
 def test_judgmentset_absent_means_unjudged():
     js = JudgmentSet({})
     assert js.grade("q", "d") is None
@@ -237,7 +212,7 @@ def _corpus_lines(seed: int = 7) -> list[str]:
 
 
 def _write_forms(tmp_path, lines: list[str]) -> dict:
-    """The same runs as one canonical file and in four other layouts."""
+    """The same runs as one canonical file and in five other layouts."""
     forms = {}
     canonical = tmp_path / "canonical.txt"
     canonical.write_text("".join(lines))
@@ -258,6 +233,16 @@ def _write_forms(tmp_path, lines: list[str]) -> dict:
         own = [line for line in lines if line.split()[5] == system]
         (per_system / f"{system}.txt").write_text("".join(own))
     forms["per_system"] = per_system
+
+    # One file per system; only the last one starts with a comment line.
+    last_commented = tmp_path / "per_system_last_commented"
+    last_commented.mkdir()
+    for path in per_system.iterdir():
+        text = path.read_text()
+        if path.name == "s3.txt":
+            text = "# a comment\n" + text
+        (last_commented / path.name).write_text(text)
+    forms["per_system_last_commented"] = last_commented
 
     # The group (s1, q1) continues from a.txt into b.txt.
     split = tmp_path / "split_group"
@@ -310,6 +295,56 @@ def test_canonical_layouts_skip_the_line_parser(tmp_path, monkeypatch):
     _refuse_line_parser(monkeypatch)
     assert load_runs(forms["canonical"]) == reference
     assert load_runs(forms["per_system"]) == reference
+
+
+def _record_line_parser(monkeypatch) -> list[str]:
+    """Let the line parser run, recording the name of each file it reads."""
+    parsed = []
+    line_parser = corpus_io.iter_run_entries
+
+    def recording(stream):
+        parsed.append(Path(stream.name).name)
+        return line_parser(stream)
+
+    monkeypatch.setattr(corpus_io, "iter_run_entries", recording)
+    return parsed
+
+
+@pytest.mark.parametrize(
+    "form,slow_files",
+    [("per_system_last_commented", ["s3.txt"]), ("split_group", ["b.txt"])],
+)
+def test_only_the_file_that_misses_reaches_the_line_parser(
+    tmp_path, monkeypatch, form, slow_files
+):
+    lines = _corpus_lines()
+    forms = _write_forms(tmp_path, lines)
+    reference = parse_run_file(io.StringIO("".join(lines)))
+    parsed = _record_line_parser(monkeypatch)
+    assert load_runs(forms[form]) == reference
+    assert parsed == slow_files
+
+
+def test_group_read_by_the_line_parser_sends_later_files_to_it(tmp_path, monkeypatch):
+    # a.txt holds ranks 2-3 (not rank 1 first: line parser); b.txt holds rank 1 of
+    # the same group, which the fast path alone would accept.
+    (tmp_path / "a.txt").write_text("q1 0 d2 2 0.8 s1\nq1 0 d3 3 0.7 s1\n")
+    (tmp_path / "b.txt").write_text("q1 0 d1 1 0.9 s1\nq2 0 d1 1 0.9 s1\n")
+    parsed = _record_line_parser(monkeypatch)
+    runs = load_runs(tmp_path)
+    assert parsed == ["a.txt", "b.txt"]
+    assert runs.ranking("s1", "q1") == {"d1": 1, "d2": 2, "d3": 3}
+    assert runs.ranking("s1", "q2") == {"d1": 1}
+
+
+def test_errors_keep_file_order_across_both_paths(tmp_path):
+    # Both groups are broken once merged; the first in file order is reported,
+    # although its fast-path half comes from a file read before the line parser ran.
+    (tmp_path / "a.txt").write_text("q1 0 d1 1 0.9 s1\nq2 0 d1 1 0.9 s1\n")
+    (tmp_path / "b.txt").write_text("# c\nq2 0 d2 3 0.8 s1\nq1 0 d1 2 0.8 s1\n")
+    with pytest.raises(ValidationError) as info:
+        load_runs(tmp_path)
+    assert str(info.value) == "duplicate document 'd1' for system 's1', query 'q1'"
 
 
 @pytest.mark.parametrize("chunk_chars", [1, 40, 333, 1000])

@@ -71,7 +71,7 @@ def test_zero_relevant_query_flagged():
     runs, js = _corpus(IDENTICAL_TWINS, "q1 0 d9 0\n")
     results = run_leave_one_out(runs, js, _plan(runs))
     assert all(r.ap is None for r in results)
-    assert all(r.relevant_count == 0 for r in results)
+    assert js.relevant_docs("q1") == set()
     assert all(r.utility.total == 0.0 for r in results)
 
 
@@ -194,7 +194,7 @@ class TestPerQueryDiffs:
             SystemQueryResult(
                 system=s, query="q",
                 utility=UtilityScore(per_doc={}, total=utility[s]),
-                ap=ap[s], relevant_count=2,
+                ap=ap[s],
             )
             for s in ("A", "B", "C")
         ]

@@ -9,7 +9,6 @@ from noveval import (
     average_precision,
     document_utility,
     pooled_probability,
-    precision_recall,
     read_probability,
     total_utility,
 )
@@ -224,38 +223,6 @@ class TestAveragePrecision:
             assignment = {doc: rank for rank, doc in enumerate(ranked, start=1)}
             relevant = set(rng.sample(universe, rng.randint(1, len(universe))))
             assert average_precision(assignment, relevant) == full_sort_ap(assignment, relevant)
-
-
-class TestPrecisionRecall:
-    def test_direct_count(self):
-        assignment = {f"d{i}": i for i in range(1, 11)}
-        relevant = {"d1", "d2", "d3", "m1", "m2", "m3"}
-        precision, recall = precision_recall(assignment, relevant, cutoff=10)
-        assert precision == pytest.approx(0.3)
-        assert recall == pytest.approx(0.5)
-
-    def test_empty_retrieval(self):
-        precision, recall = precision_recall({}, {"a"}, cutoff=10)
-        assert precision is None
-        assert recall == 0.0
-
-    def test_perfect(self):
-        assignment = {"a": 1, "b": 2}
-        assert precision_recall(assignment, {"a", "b"}, cutoff=2) == (1.0, 1.0)
-
-    def test_no_relevant_recall_undefined(self):
-        _, recall = precision_recall({"a": 1}, set(), cutoff=5)
-        assert recall is None
-
-    def test_short_run_denominator(self):
-        # 5 docs retrieved, cutoff 10: precision over the 5 actually retrieved
-        assignment = {f"d{i}": i for i in range(1, 6)}
-        precision, _ = precision_recall(assignment, {"d1"}, cutoff=10)
-        assert precision == pytest.approx(1 / 5)
-
-    def test_bad_cutoff(self):
-        with pytest.raises(ConfigError):
-            precision_recall({"a": 1}, {"a"}, cutoff=0)
 
 
 def test_config_validation():

@@ -1,14 +1,17 @@
-"""The benchmark's tracer must find every function it wraps.
+"""The benchmark's tracer must find every function it wraps, and each must run.
 
 `perfbench/tracer.py` wraps public functions where their callers look them up
 (its `WRAPPED` table) and reports a missing one as absent, which silently drops
-that per-layer metric from a traced benchmark run. This test turns a renamed or
-removed wrap target into a test failure instead.
+that per-layer metric from a traced benchmark run. These tests turn a renamed
+or removed wrap target, or one the CLI no longer calls, into a test failure.
 """
 
+import functools
 import importlib
 import importlib.util
 from pathlib import Path
+
+from noveval.cli import main
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -20,15 +23,42 @@ def _wrapped_table():
     return module.WRAPPED
 
 
+def _owner(owner_spec: str):
+    module_name, _, class_name = owner_spec.partition(":")
+    owner = importlib.import_module(module_name)
+    return getattr(owner, class_name, None) if class_name else owner
+
+
 def test_every_wrapped_name_resolves_to_a_callable():
     wrapped = _wrapped_table()
     assert wrapped
     missing = []
     for owner_spec, attr, span in wrapped:
-        module_name, _, class_name = owner_spec.partition(":")
-        owner = importlib.import_module(module_name)
-        if class_name:
-            owner = getattr(owner, class_name, None)
-        if not callable(getattr(owner, attr, None)):
+        if not callable(getattr(_owner(owner_spec), attr, None)):
             missing.append(f"{owner_spec}.{attr} ({span})")
     assert not missing, f"tracer wrap targets not found: {missing}"
+
+
+def test_every_wrapped_span_is_recorded_by_synth_and_eval(tmp_path, monkeypatch, capsys):
+    recorded = set()
+
+    def wrap(fn, span):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            recorded.add(span)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    wrapped = _wrapped_table()
+    for owner_spec, attr, span in wrapped:
+        owner = _owner(owner_spec)
+        monkeypatch.setattr(owner, attr, wrap(getattr(owner, attr), span))
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--out-dir", str(corpus)]) == 0
+    assert main(["--runs", str(corpus / "runs.txt"), "--qrels", str(corpus / "qrels.txt"),
+                 "--depth", "50", "--format", "json", "--per-query",
+                 "--out", str(tmp_path / "report.json")]) == 0
+    spans = [span for _, _, span in wrapped]
+    assert len(spans) == 14
+    assert [span for span in spans if span not in recorded] == []
