@@ -35,8 +35,6 @@ from .metrics import (
     EvalConfig,
     UtilityScore,
     average_precision,
-    document_utility,
-    pooled_probability,
     read_probability,
     total_utility,
 )

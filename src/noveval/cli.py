@@ -73,8 +73,13 @@ def abbreviate_queries(queries: list[str]) -> list[str]:
     return short
 
 
-def render_ranking(table: RankingTable, fmt: str, metadata: dict | None = None) -> str:
-    """Ranking table ordered by utility rank; text aligns, CSV/JSON keep precision."""
+def render_ranking(
+    table: RankingTable,
+    fmt: str,
+    metadata: dict | None = None,
+    per_query: PerQueryDiffMatrix | None = None,
+) -> str:
+    """Utility-ranked table, then any `per_query` matrix; text aligns, CSV/JSON keep precision."""
     if len(table.rows) < 2:
         raise ValidationError("ranking table requires at least 2 systems")
     rows = table.by_utility_rank()
@@ -91,7 +96,10 @@ def render_ranking(table: RankingTable, fmt: str, metadata: dict | None = None) 
             }
             for r in rows
         ]
+        if per_query is not None:
+            return render_per_query(per_query, fmt, report=payload)
         return json.dumps(payload, indent=2) + "\n"
+    tail = "" if per_query is None else "\n" + render_per_query(per_query, fmt)
     meta_lines = _metadata_comments(metadata)
     if fmt == "csv":
         body = "system,ap_rank,utility_rank,difference,ap_score,utility_score\n"
@@ -100,7 +108,7 @@ def render_ranking(table: RankingTable, fmt: str, metadata: dict | None = None) 
                 f"{r.system},{r.ap_rank},{r.utility_rank},{r.difference},"
                 f"{r.ap_score!r},{r.utility_score!r}\n"
             )
-        return meta_lines + body
+        return meta_lines + body + tail
     cells = [["system", "ap_rank", "utility_rank", "difference", "ap_score", "utility_score"]]
     for r in rows:
         cells.append(
@@ -113,11 +121,11 @@ def render_ranking(table: RankingTable, fmt: str, metadata: dict | None = None) 
                 f"{r.utility_score:.4f}",
             ]
         )
-    return meta_lines + _columnize(cells)
+    return meta_lines + _columnize(cells) + tail
 
 
-def render_per_query(matrix: PerQueryDiffMatrix, fmt: str) -> str:
-    """Rank-difference matrix: rows are systems, columns are queries."""
+def render_per_query(matrix: PerQueryDiffMatrix, fmt: str, report: dict | None = None) -> str:
+    """Rank-difference matrix (rows systems, columns queries); JSON nests it in a `report`."""
     if fmt == "json":
         payload = {
             "queries": list(matrix.queries),
@@ -129,6 +137,8 @@ def render_per_query(matrix: PerQueryDiffMatrix, fmt: str) -> str:
                 for s in matrix.systems
             ],
         }
+        if report is not None:
+            payload = report | {"per_query": payload}
         return json.dumps(payload, indent=2) + "\n"
     headers = abbreviate_queries(list(matrix.queries))
     if fmt == "csv":
@@ -265,17 +275,8 @@ def _run_eval(argv: list[str]) -> int:
             "qrels": _digest(Path(args.qrels)),
         },
     }
-    out = render_ranking(table, args.format, metadata=metadata)
-    if args.per_query:
-        matrix = per_query_diffs(results)
-        if args.format == "json":
-            # Merge into a single JSON document.
-            doc = json.loads(out)
-            doc["per_query"] = json.loads(render_per_query(matrix, "json"))
-            out = json.dumps(doc, indent=2) + "\n"
-        else:
-            out += "\n" + render_per_query(matrix, args.format)
-    _write_output(out, args.out)
+    matrix = per_query_diffs(results) if args.per_query else None
+    _write_output(render_ranking(table, args.format, metadata, matrix), args.out)
     return 0
 
 

@@ -20,7 +20,8 @@ lines come as whole groups in rank order, each group once. A file it does
 not accept is read again with the line parser (`iter_run_entries`), and
 `RunSet` merges and checks those entries together with the fast-path
 groups they share a key with; the line parser and `RunSet` alone decide
-what is valid and what every error says.
+what is valid and what every error says, after the names of the files
+that hold the offending lines.
 
 All parsed structures are immutable after construction and safe to share
 across threads.
@@ -86,7 +87,7 @@ class RunSet:
             group = groups.setdefault(key, {})
             if e.rank in group:
                 raise ValidationError(
-                    f"duplicate rank {e.rank} for system {e.system!r}, query {e.query!r}"
+                    f"duplicate rank {e.rank} for system {e.system!r}, query {e.query!r}", key
                 )
             group[e.rank] = e
         self._groups: _RunColumns = {}
@@ -99,14 +100,15 @@ class RunSet:
                 missing = sorted(set(range(1, n + 1)) - set(by_rank))
                 raise ValidationError(
                     f"ranks for system {system!r}, query {query!r} are not contiguous "
-                    f"1..{n} (missing {missing[:5]})"
+                    f"1..{n} (missing {missing[:5]})", key
                 )
             ordered = [by_rank[r] for r in range(1, n + 1)]
             seen_docs: set[str] = set()
             for e in ordered:
                 if e.doc in seen_docs:
                     raise ValidationError(
-                        f"duplicate document {e.doc!r} for system {system!r}, query {query!r}"
+                        f"duplicate document {e.doc!r} for system {system!r}, query {query!r}",
+                        key,
                     )
                 seen_docs.add(e.doc)
             if strict_scores:
@@ -114,7 +116,7 @@ class RunSet:
                     if b.score > a.score:
                         raise ValidationError(
                             f"score increases from rank {a.rank} to {b.rank} for system "
-                            f"{system!r}, query {query!r} (strict mode)"
+                            f"{system!r}, query {query!r} (strict mode)", key
                         )
             self._groups[key] = (
                 tuple(e.doc for e in ordered),
@@ -306,7 +308,8 @@ def load_runs(path: str | Path, strict_scores: bool = False) -> RunSet:
     path does not accept) is read by `iter_run_entries`. `RunSet` then
     merges and checks those entries, in file order, together with the
     fast-path groups that share their keys; the line parser and `RunSet`
-    alone decide what is valid and what an error says.
+    alone decide what is valid and what an error says, after the names of
+    the files that hold the group.
     """
     path = Path(path)
     if path.is_dir():
@@ -330,17 +333,24 @@ def load_runs(path: str | Path, strict_scores: bool = False) -> RunSet:
     slow = {(e.system, e.query) for part in parts if isinstance(part, list) for e in part}
     groups: _RunColumns = {}
     entries: list[RunEntry] = []
-    for part in parts:
+    files_of: dict[tuple[str, str], list[str]] = {key: [] for key in slow}  # for errors
+    for f, part in zip(files, parts):
         if isinstance(part, list):
             entries += part
+            for key in {(e.system, e.query) for e in part}:
+                files_of[key].append(f.name)
         else:
             for key, columns in part.items():
                 if key in slow:
                     entries += _group_entries(key, columns)
+                    files_of[key].append(f.name)
                 else:
                     groups[key] = columns
     if entries:
-        groups.update(RunSet(entries, strict_scores=strict_scores)._groups)
+        try:
+            groups.update(RunSet(entries, strict_scores=strict_scores)._groups)
+        except ValidationError as exc:
+            raise ValidationError(f"{', '.join(files_of[exc.group])}: {exc}", exc.group) from exc
     return RunSet._from_columns(groups)
 
 

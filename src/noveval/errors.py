@@ -16,7 +16,11 @@ class ParseError(NovevalError):
 
 
 class ValidationError(NovevalError):
-    """Structurally parseable input that violates a data-model invariant."""
+    """Parseable input that violates a data-model invariant; `group` is its run group."""
+
+    def __init__(self, message: str, group: tuple[str, str] | None = None):
+        super().__init__(message)
+        self.group = group
 
 
 class ConfigError(NovevalError):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .corpus_io import JudgmentSet, RunSet
 from .errors import ConfigError, ValidationError
-from .metrics import EvalConfig, UtilityScore, average_precision, total_utility
+from .metrics import EvalConfig, QueryTable, UtilityScore, average_precision, total_utility
 
 
 @dataclass(frozen=True)
@@ -47,28 +47,27 @@ class SystemQueryResult:
 def run_leave_one_out(
     runs: RunSet, judgments: JudgmentSet, plan: LeaveOneOutPlan
 ) -> list[SystemQueryResult]:
-    """Evaluate every (system, query) cell; output ordered by system then query."""
+    """Evaluate every (system, query) cell; output ordered by system then query.
+
+    Each cell reads the pool of the other systems from its query's `QueryTable`.
+    """
     cfg = plan.config
     present = set(runs.systems())
     for system in plan.systems:
         if system not in present:
             raise ConfigError(f"system {system!r} is not present in the runs")
-    rankings = {
-        (system, query): runs.ranking(system, query, cfg.depth_n)
-        for system in plan.systems
-        for query in plan.queries
-    }
-    relevant_by_query = {
-        query: judgments.relevant_docs(query, cfg.partial_relevant_counts)
-        for query in plan.queries
-    }
+    systems = sorted(plan.systems)
+    tables: dict[str, QueryTable] = {}
+    relevant: dict[str, set[str]] = {}
+    for query in sorted(plan.queries):
+        relevant[query] = judgments.relevant_docs(query, cfg.partial_relevant_counts)
+        rankings = [runs.ranking(system, query, cfg.depth_n) for system in systems]
+        tables[query] = QueryTable(rankings, relevant[query], cfg.depth_n)
     results: list[SystemQueryResult] = []
-    for system in sorted(plan.systems):
-        for query in sorted(plan.queries):
-            relevant = relevant_by_query[query]
-            pool = [rankings[(y, query)] for y in plan.systems if y != system]
-            utility = total_utility(rankings[(system, query)], pool, relevant, cfg)
-            ap = average_precision(rankings[(system, query)], relevant)
+    for i, system in enumerate(systems):
+        for query, table in tables.items():
+            utility = total_utility(table[i], table.pool_without(i), relevant[query], cfg)
+            ap = average_precision(table[i], relevant[query])
             results.append(SystemQueryResult(system=system, query=query, utility=utility, ap=ap))
     return results
 

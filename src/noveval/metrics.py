@@ -1,4 +1,4 @@
-"""Read-probability model, per-document and total utility, and the AP baseline.
+"""Read-probability model, leave-one-out utility and the AP baseline.
 
 The user model: given a ranking of N documents, the reader picks a cutoff
 threshold uniformly from the N choices and reads everything at or above it,
@@ -6,20 +6,23 @@ so the probability of reading the document at rank r is (N - r + 1) / N.
 A system's utility on a relevant document is the log-ratio of its own read
 probability to the pooled read probability over the other systems.
 
-A read probability is the integer numerator N - r + 1 over N, and the pooled
-one is the sum of those numerators over N times the pool size, so each
-utility term is a single int/int true division, which Python rounds
-correctly, followed by the logarithm. The `Fraction` helpers
-(`read_probability`, `pooled_probability`, `document_utility`) give the
-same floats and serve as the reference in tests.
+A read probability is c = N - r + 1 over N. A `QueryTable` holds c[s][i]
+for each system s and relevant document i of one query (0 where s missed
+it) and the column totals T[i], so the pool of every system but x has the
+numerator T - c[x] over N(M - 1). Each utility term is one int/int true
+division, which Python rounds correctly, then the logarithm; a zero
+numerator takes its floor's integer ratio. AP sums hits/rank exactly over
+the lcm of the hit ranks and divides once, rounding as exact rational
+arithmetic does.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError
 
@@ -90,43 +93,51 @@ def read_probability(rank: int | None, depth_n: int) -> Fraction:
     return Fraction(depth_n - rank + 1, depth_n)
 
 
-def pooled_probability(
-    doc: str, pool_ranks: Sequence[RankAssignment], config: EvalConfig
-) -> Fraction:
-    """Mean read probability of `doc` over the pool, floored if nowhere retrieved."""
-    if not pool_ranks:
-        raise ConfigError("pooled probability requires a non-empty pool")
-    total = sum(
-        (read_probability(ranks.get(doc), config.depth_n) for ranks in pool_ranks),
-        start=Fraction(0),
-    )
-    p = total / len(pool_ranks)
-    if p == 0:
-        return config.pool_floor(len(pool_ranks))
-    return p
-
-
-def document_utility(
-    p_system: Fraction | float, p_pool: Fraction | float, config: EvalConfig
-) -> float:
-    """Log-ratio utility of one relevant document; the zero floor keeps it finite."""
-    if p_pool <= 0:
-        raise ConfigError("p_pool must be positive after flooring")
-    if p_system == 0:
-        p_system = config.system_floor()
-    if isinstance(p_system, Fraction) and isinstance(p_pool, Fraction):
-        ratio = float(p_system / p_pool)
-    else:
-        ratio = float(p_system) / float(p_pool)
-    return config.log(ratio)
-
-
 @dataclass(frozen=True)
 class UtilityScore:
     """Per-document utilities and their sum for one (system, query)."""
 
     per_doc: dict[str, float] = field(default_factory=dict)
     total: float = 0.0
+
+
+def _numerators(ranks: RankAssignment, docs: Sequence[str], depth_n: int) -> list[int]:
+    """N - r + 1 for each of `docs` that `ranks` places at r, 0 for the others."""
+    row = []
+    for r in map(ranks.get, docs):
+        if r is None:
+            row.append(0)
+        elif 0 < r <= depth_n:
+            row.append(depth_n + 1 - r)
+        else:
+            raise ConfigError(f"rank must be in [1, {depth_n}], got {r}")
+    return row
+
+
+class QueryTable(tuple):
+    """One query's rank dicts of M systems, with their integer table.
+
+    `docs` are the relevant documents in sorted order; rows[s][i] is
+    N - r + 1 where system s ranks docs[i] at r, 0 where s missed it; and
+    `totals` holds the column sums T[i].
+    """
+
+    def __new__(
+        cls, rankings: Iterable[RankAssignment], relevant_docs: Iterable[str], depth_n: int
+    ):
+        table = super().__new__(cls, rankings)
+        table.docs, table.depth_n = sorted(relevant_docs), depth_n
+        table.rows = [_numerators(ranks, table.docs, depth_n) for ranks in table]
+        table.totals = [sum(column) for column in zip(*table.rows)] or [0] * len(table.docs)
+        return table
+
+    def pool_without(self, i: int) -> QueryTable:
+        """The table of every system but i; its totals T - c[i] take R subtractions."""
+        pool = tuple.__new__(QueryTable, self[:i] + self[i + 1 :])
+        pool.docs, pool.depth_n = self.docs, self.depth_n
+        pool.rows = self.rows[:i] + self.rows[i + 1 :]
+        pool.totals = list(map(operator.sub, self.totals, self.rows[i]))
+        return pool
 
 
 def total_utility(
@@ -140,34 +151,24 @@ def total_utility(
     Per document, x holds c = N - r + 1 (0 if missed) and the pool holds
     t = sum of N - r_y + 1, so p_sys = c/N and p_pool = t/(N|pool|), each
     replaced by its floor when zero; their ratio is one int/int division.
+    A `QueryTable` pool holds t already; any other pool is scanned once.
     """
     if not relevant_docs:
         return UtilityScore()
     if not pool:
         raise ConfigError("pooled probability requires a non-empty pool")
     n = config.depth_n
-    n1 = n + 1
+    docs = sorted(relevant_docs)
+    if not (isinstance(pool, QueryTable) and pool.depth_n == n and pool.docs == docs):
+        pool = QueryTable(pool, docs, n)
     n_pool = n * len(pool)
     sys_floor = config.system_floor().as_integer_ratio()
     pool_floor = config.pool_floor(len(pool)).as_integer_ratio()
     log = config.log
     per_doc: dict[str, float] = {}
     total = 0.0
-    for doc in sorted(relevant_docs):
-        t = 0
-        for ranks in pool:
-            r = ranks.get(doc)
-            if r is not None:
-                if not 0 < r <= n:
-                    raise ConfigError(f"rank must be in [1, {n}], got {r}")
-                t += n1 - r
-        r = assignment_x.get(doc)
-        if r is None:
-            sys_num, sys_den = sys_floor
-        elif 0 < r <= n:
-            sys_num, sys_den = n1 - r, n
-        else:
-            raise ConfigError(f"rank must be in [1, {n}], got {r}")
+    for doc, c, t in zip(docs, _numerators(assignment_x, docs, n), pool.totals):
+        sys_num, sys_den = (c, n) if c else sys_floor
         pool_num, pool_den = (t, n_pool) if t else pool_floor
         u = log(sys_num * pool_den / (sys_den * pool_num))
         per_doc[doc] = u
@@ -176,12 +177,14 @@ def total_utility(
 
 
 def average_precision(assignment_x: RankAssignment, relevant_docs: set[str]) -> float | None:
-    """Non-interpolated average precision; None when there is nothing to find (R = 0)."""
+    """Non-interpolated average precision; None when there is nothing to find (R = 0).
+
+    Sums hits/rank exactly over the lcm L of the hit ranks; divides once by L * R.
+    """
     r = len(relevant_docs)
     if r == 0:
         return None
     hit_ranks = sorted(assignment_x[d] for d in relevant_docs if d in assignment_x)
-    acc = Fraction(0)
-    for hits, rank in enumerate(hit_ranks, start=1):
-        acc += Fraction(hits, rank)
-    return float(acc / r)
+    lcm = math.lcm(*hit_ranks)
+    num = sum(hits * (lcm // rank) for hits, rank in enumerate(hit_ranks, start=1))
+    return num / (lcm * r)

@@ -287,6 +287,27 @@ def test_runs_directory_validation_error_names_file(tmp_path, capsys):
     assert "(line 2)" in line
 
 
+def test_runs_directory_rank_error_names_files(tmp_path, capsys):
+    runs_dir = tmp_path / "runs"
+    runs_dir.mkdir()
+    (runs_dir / "a.txt").write_text("q1 0 d1 1 0.9 s1\nq1 0 d2 3 0.8 s1\n")
+    (runs_dir / "b.txt").write_text("q1 0 d1 1 0.9 s2\nq1 0 d2 2 0.8 s2\n")
+    qrels = tmp_path / "qrels.txt"
+    qrels.write_text(QRELS)
+    argv = ["--runs", str(runs_dir), "--qrels", str(qrels), "--depth", "10"]
+    assert main(argv) == 1
+    assert _single_error_line(capsys.readouterr().err) == (
+        "error: a.txt: ranks for system 's1', query 'q1' are not contiguous 1..2 (missing [2])"
+    )
+    # One group split across two files names both, in file order.
+    (runs_dir / "c.txt").write_text("q1 0 d3 4 0.1 s2\n")
+    (runs_dir / "a.txt").write_text("q1 0 d1 1 0.9 s1\n")
+    assert main(argv) == 1
+    assert _single_error_line(capsys.readouterr().err) == (
+        "error: b.txt, c.txt: ranks for system 's2', query 'q1' are not contiguous 1..3 (missing [3])"
+    )
+
+
 def test_one_row_ranking_rejected_without_assert():
     one_row = RankingTable(rows=(RankingRow("a", 0.5, 1.0, ap_rank=1, utility_rank=1),))
     with pytest.raises(ValidationError, match="at least 2 systems"):

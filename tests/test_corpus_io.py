@@ -344,7 +344,7 @@ def test_errors_keep_file_order_across_both_paths(tmp_path):
     (tmp_path / "b.txt").write_text("# c\nq2 0 d2 3 0.8 s1\nq1 0 d1 2 0.8 s1\n")
     with pytest.raises(ValidationError) as info:
         load_runs(tmp_path)
-    assert str(info.value) == "duplicate document 'd1' for system 's1', query 'q1'"
+    assert str(info.value) == "a.txt, b.txt: duplicate document 'd1' for system 's1', query 'q1'"
 
 
 @pytest.mark.parametrize("chunk_chars", [1, 40, 333, 1000])
@@ -397,15 +397,15 @@ def test_valid_edge_files_load_as_the_line_parser_reads_them(tmp_path, text):
         ("q1 0 d1 1 0.9\nq1 0 d2 2 0.8 s1 x\n", ParseError,
          "runs.txt: line 1: expected 6 whitespace-separated fields, got 5"),
         ("q1 0 d1 1 0.9 s1\nq1 0 d2 3 0.8 s1\n", ValidationError,
-         "ranks for system 's1', query 'q1' are not contiguous 1..2 (missing [2])"),
+         "runs.txt: ranks for system 's1', query 'q1' are not contiguous 1..2 (missing [2])"),
         ("q1 0 d1 1 0.9 s1\nq1 0 d1 2 0.8 s1\n", ValidationError,
          "runs.txt: duplicate document 'd1' for system 's1', query 'q1' (line 2)"),
         ("q1 0 d1 1 nan s1\n", ParseError, "runs.txt: line 1: score is not finite: 'nan'"),
         ("q1 0 d1 1 0.9 s1\nq2 0 d2 2 0.8 s1\n", ValidationError,
-         "ranks for system 's1', query 'q2' are not contiguous 1..1 (missing [1])"),
+         "runs.txt: ranks for system 's1', query 'q2' are not contiguous 1..1 (missing [1])"),
         ("q1 0 d1 one 0.9 s1\n", ParseError, "runs.txt: line 1: rank is not an integer: 'one'"),
         ("q1 0 d1 1 0.9 s1\nq1 0 d2 1 0.8 s1\n", ValidationError,
-         "duplicate rank 1 for system 's1', query 'q1'"),
+         "runs.txt: duplicate rank 1 for system 's1', query 'q1'"),
     ],
 )
 def test_invalid_files_fail_as_the_line_parser_says(tmp_path, text, error, message):

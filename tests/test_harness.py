@@ -1,4 +1,7 @@
 import io
+import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +16,7 @@ from noveval import (
     per_query_diffs,
     run_leave_one_out,
     tie_break,
+    total_utility,
 )
 from noveval.errors import ConfigError, ValidationError
 
@@ -232,3 +236,78 @@ def test_monotone_novelty_response():
     for rank in range(10, 1, -1):
         totals.append(total_utility({"d": rank}, pool, {"d"}, cfg).total)
     assert all(b >= a for a, b in zip(totals, totals[1:]))
+
+
+def _full_sort_ap(assignment, relevant):
+    """AP the long way: sort every ranked document, add one Fraction per hit."""
+    if not relevant:
+        return None
+    hits, acc = 0, Fraction(0)
+    for rank, doc in sorted((rank, doc) for doc, rank in assignment.items()):
+        if doc in relevant:
+            hits += 1
+            acc += Fraction(hits, rank)
+    return float(acc / len(relevant))
+
+
+def _random_corpus(rng: random.Random):
+    """Runs and graded qrels with clones, systems that miss every judged document,
+    unjudged documents and runs longer than the evaluation depth."""
+    universe = [f"d{i}" for i in range(rng.randint(1, 14))]
+    systems = [f"s{i}" for i in range(rng.randint(2, 7))]
+    lines, qrels = [], []
+    for q in range(rng.randint(1, 3)):
+        query = f"q{q}"
+        for doc in rng.sample(universe, rng.randint(0, len(universe))):
+            qrels.append(f"{query} 0 {doc} {rng.choice((0, 1, 2, 2))}\n")
+        docs = None
+        for system in systems:
+            kind = rng.random()
+            if docs is None or kind >= 0.25:
+                if kind < 0.4:
+                    docs = [f"u{k}" for k in range(rng.randint(1, 8))]  # misses every judged doc
+                else:
+                    docs = rng.sample(universe, rng.randint(1, len(universe)))
+            # else: a clone of the previous system's run
+            lines += [
+                f"{query} 0 {doc} {rank} {1 / rank} {system}\n"
+                for rank, doc in enumerate(docs, start=1)
+            ]
+    return _corpus("".join(lines), "".join(qrels))
+
+
+def test_table_cells_equal_plain_pool_and_full_sort_ap():
+    """Every cell read from the per-query table equals a plain-list pool and
+    the full-sort AP, with ==; reordering plan.systems changes nothing."""
+    rng = random.Random(20260)
+    epsilons = [None, None, 0.5, 0.125, 0.1, 1 / 3, 1e-3]
+    cases = {(hit, pooled): 0 for hit in (False, True) for pooled in (False, True)}
+    seen = set()
+    for _ in range(400):
+        runs, js = _random_corpus(rng)
+        cfg = EvalConfig(
+            depth_n=rng.randint(1, 12),
+            partial_relevant_counts=rng.random() < 0.5,
+            log_base=rng.choice([math.e, 2.0, 10.0]),
+            epsilon_custom=rng.choice(epsilons),
+        )
+        systems = runs.systems()
+        plan = LeaveOneOutPlan(tuple(systems), tuple(runs.queries()), cfg)
+        results = run_leave_one_out(runs, js, plan)
+        for r in results:
+            x = runs.ranking(r.system, r.query, cfg.depth_n)
+            pool = [runs.ranking(y, r.query, cfg.depth_n) for y in systems if y != r.system]
+            relevant = js.relevant_docs(r.query, cfg.partial_relevant_counts)
+            expected = total_utility(x, pool, relevant, cfg)
+            assert r.utility.per_doc == expected.per_doc
+            assert r.utility.total == expected.total
+            assert r.ap == _full_sort_ap(x, relevant)
+            for doc in relevant:
+                cases[(doc in x, any(doc in ranks for ranks in pool))] += 1
+        seen.add(cfg.epsilon_custom)
+        shuffled = list(systems)
+        rng.shuffle(shuffled)
+        permuted = LeaveOneOutPlan(tuple(shuffled), plan.queries, cfg)
+        assert run_leave_one_out(runs, js, permuted) == results
+    assert min(cases.values()) >= 100, cases
+    assert seen == set(epsilons)

@@ -7,12 +7,11 @@ import pytest
 from noveval import (
     EvalConfig,
     average_precision,
-    document_utility,
-    pooled_probability,
     read_probability,
     total_utility,
 )
 from noveval.errors import ConfigError
+from noveval.metrics import QueryTable
 
 
 class TestReadProbability:
@@ -47,53 +46,62 @@ class TestReadProbability:
 
 
 class TestPooledProbability:
+    """The pool's mean read probability, read through total_utility.
+
+    x ranks the document first (p_sys = 1), so its utility is -log p_pool.
+    """
+
     def test_mean_of_two_ones(self):
         cfg = EvalConfig(depth_n=300)
-        assert pooled_probability("d", [{"d": 1}, {"d": 1}], cfg) == 1
+        assert total_utility({"d": 1}, [{"d": 1}, {"d": 1}], {"d"}, cfg).total == 0.0
 
     def test_half_when_one_system_misses(self):
         cfg = EvalConfig(depth_n=300)
-        assert pooled_probability("d", [{"d": 1}, {}], cfg) == Fraction(1, 2)
+        assert total_utility({"d": 1}, [{"d": 1}, {}], {"d"}, cfg).total == math.log(2)
 
     def test_floor_when_absent_everywhere(self):
         cfg = EvalConfig(depth_n=10)
-        assert pooled_probability("d", [{}, {}, {}], cfg) == Fraction(1, 60)
-        # any retrieved doc exceeds the floor
+        assert total_utility({"d": 1}, [{}, {}, {}], {"d"}, cfg).total == math.log(60)
+        # any retrieved doc exceeds the floor 1/60
+        assert total_utility({"d": 10}, [{}, {}, {}], {"d"}, cfg).total == math.log(6)
         assert read_probability(10, 10) > Fraction(1, 60)
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ConfigError):
-            pooled_probability("d", [], EvalConfig(depth_n=10))
+            total_utility({"d": 1}, [], {"d"}, EvalConfig(depth_n=10))
 
 
 class TestDocumentUtility:
+    """One document's log-ratio utility, read through total_utility's per_doc."""
+
     def test_equal_probabilities_zero(self):
+        # p_sys = p_pool = 2/5 at rank 7 of 10
         cfg = EvalConfig(depth_n=10)
-        assert document_utility(Fraction(2, 5), Fraction(2, 5), cfg) == 0.0
+        assert total_utility({"d": 7}, [{"d": 7}], {"d"}, cfg).per_doc["d"] == 0.0
 
     def test_log_two(self):
         cfg = EvalConfig(depth_n=10)
-        u = document_utility(Fraction(1), Fraction(1, 2), cfg)
+        u = total_utility({"d": 1}, [{"d": 1}, {}], {"d"}, cfg).per_doc["d"]
         assert u == pytest.approx(math.log(2), abs=1e-12)
 
     def test_missed_doc_floored(self):
         cfg = EvalConfig(depth_n=10)
-        u = document_utility(Fraction(0), Fraction(1), cfg)
+        u = total_utility({}, [{"d": 1}], {"d"}, cfg).per_doc["d"]
         assert u == pytest.approx(math.log(1 / 20), abs=1e-12)
 
     def test_finite_and_bounded(self):
         cfg = EvalConfig(depth_n=10)
         bound = math.log(2 * 10 * 3)
-        for p_sys in (Fraction(0), Fraction(1, 10), Fraction(1)):
+        # p_sys 0, 1/10 and 1
+        for x in ({}, {"d": 10}, {"d": 1}):
             for pool in ([{}, {}, {}], [{"d": 1}, {}, {}], [{"d": 1}] * 3):
-                p_pool = pooled_probability("d", pool, cfg)
-                u = document_utility(p_sys, p_pool, cfg)
+                u = total_utility(x, pool, {"d"}, cfg).per_doc["d"]
                 assert math.isfinite(u)
                 assert abs(u) <= bound + 1e-12
 
     def test_custom_epsilon_floor(self):
         cfg = EvalConfig(depth_n=10, epsilon_custom=0.01)
-        u = document_utility(Fraction(0), Fraction(1), cfg)
+        u = total_utility({}, [{"d": 1}], {"d"}, cfg).per_doc["d"]
         assert u == pytest.approx(math.log(0.01), abs=1e-12)
 
 
@@ -142,13 +150,34 @@ class TestTotalUtility:
         assert with_clone.per_doc["d"] < lone.per_doc["d"]
 
 
+    def test_leave_one_out_pool_is_the_other_rank_dicts(self):
+        ranks = [{"a": 1, "b": 3}, {"b": 1}, {"c": 2, "a": 4}]
+        table = QueryTable(ranks, {"a", "b", "c"}, 5)
+        for i, x in enumerate(ranks):
+            pool = table.pool_without(i)
+            assert list(pool) == ranks[:i] + ranks[i + 1 :]
+            # Another relevant set or depth than the table's is read from the dicts.
+            for relevant, depth in (({"a", "b", "c"}, 5), ({"a", "d"}, 5), ({"a", "b", "c"}, 6)):
+                cfg = EvalConfig(depth_n=depth)
+                expected = total_utility(x, list(pool), relevant, cfg)
+                assert total_utility(x, pool, relevant, cfg) == expected
+
+
 def _random_ranking(rng: random.Random, universe: list[str], depth_n: int) -> dict[str, int]:
     docs = rng.sample(universe, rng.randint(0, min(depth_n, len(universe))))
     return dict(zip(docs, rng.sample(range(1, depth_n + 1), len(docs))))
 
 
+def _fraction_utility(x, pool, doc, cfg):
+    """The log of one exact Fraction ratio p_sys / p_pool, each floored when zero."""
+    n = cfg.depth_n
+    p_sys = read_probability(x.get(doc), n) or cfg.system_floor()
+    p_pool = sum(read_probability(ranks.get(doc), n) for ranks in pool) / len(pool)
+    return cfg.log(float(p_sys / (p_pool or cfg.pool_floor(len(pool)))))
+
+
 def test_integer_kernel_bit_identical_to_fraction_path():
-    """total_utility's int/int division equals the Fraction helpers bit for bit."""
+    """total_utility's int/int division equals an exact Fraction reference bit for bit."""
     rng = random.Random(20001002)
     epsilons = [None, None, 1.0, 0.5, 0.1, 1 / 3, 0.007, 1e-9]
     bases = [math.e, 2.0, 10.0]
@@ -166,12 +195,7 @@ def test_integer_kernel_bit_identical_to_fraction_path():
         pool = [_random_ranking(rng, universe, depth_n) for _ in range(rng.randint(1, 6))]
         # "m*" documents are retrieved by nobody: c = 0 and t = 0.
         relevant = set(rng.sample(universe + ["m0", "m1"], rng.randint(1, len(universe) + 2)))
-        expected = {
-            doc: document_utility(
-                read_probability(x.get(doc), depth_n), pooled_probability(doc, pool, cfg), cfg
-            )
-            for doc in relevant
-        }
+        expected = {doc: _fraction_utility(x, pool, doc, cfg) for doc in relevant}
         score = total_utility(x, pool, relevant, cfg)
         assert score.per_doc == expected
         total = 0.0
@@ -222,6 +246,14 @@ class TestAveragePrecision:
             ranked = rng.sample(universe, n)
             assignment = {doc: rank for rank, doc in enumerate(ranked, start=1)}
             relevant = set(rng.sample(universe, rng.randint(1, len(universe))))
+            assert average_precision(assignment, relevant) == full_sort_ap(assignment, relevant)
+        # Depth 1000 with 100 hits: the exact sum runs over an lcm of hundreds of digits.
+        universe = [f"d{i}" for i in range(1500)]
+        for _ in range(100):
+            ranked = rng.sample(universe, 1000)
+            assignment = {doc: rank for rank, doc in enumerate(ranked, start=1)}
+            missed = [doc for doc in universe if doc not in assignment]
+            relevant = set(rng.sample(ranked, 100) + rng.sample(missed, 20))
             assert average_precision(assignment, relevant) == full_sort_ap(assignment, relevant)
 
 
