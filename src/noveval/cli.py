@@ -193,9 +193,12 @@ def _parse_grade_map(spec: str) -> dict[int, Relevance]:
         if letter not in letters:
             raise NovevalError(f"unknown grade letter {letter!r}; expected r, p or i")
         try:
-            mapping[int(value)] = letters[letter]
+            grade = int(value)
         except ValueError:
             raise NovevalError(f"grade value is not an integer: {value!r}") from None
+        if grade in mapping:
+            raise NovevalError(f"grade value {grade} is mapped twice in grade map {spec!r}")
+        mapping[grade] = letters[letter]
     return mapping
 
 

@@ -14,14 +14,11 @@ Run and judgment files are read as UTF-8; a leading byte-order mark is
 dropped.
 
 A `RunSet` stores each (system, query) group as two columns in rank order:
-document ids and scores. `load_runs` first tries a columnar fast path on
-each file: it reads the file in bounded chunks and accepts it only if its
-lines come as whole groups in rank order, each group once. A file it does
-not accept is read again with the line parser (`iter_run_entries`), and
-`RunSet` merges and checks those entries together with the fast-path
-groups they share a key with; the line parser and `RunSet` alone decide
-what is valid and what every error says, after the names of the files
-that hold the offending lines.
+document ids and scores. One reader takes every run input, each file of
+`load_runs` and the stream of `parse_run_file`: it reads in bounded chunks,
+converts each chunk to columns and cuts the rows into (system, query)
+segments. One group check, which `RunSet(entries)` shares, joins each
+group's segments and decides what is valid and what every error says.
 
 All parsed structures are immutable after construction and safe to share
 across threads.
@@ -30,10 +27,12 @@ across threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate, chain, compress, count, groupby
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
 from .errors import ConfigError, ParseError, ValidationError
 
@@ -60,14 +59,17 @@ class RunEntry:
 _RunColumns = dict[tuple[str, str], tuple[tuple[str, ...], tuple[float, ...]]]
 
 
-def _group_entries(
-    key: tuple[str, str], columns: tuple[tuple[str, ...], tuple[float, ...]]
-) -> Iterator[RunEntry]:
-    """The entries of one (system, query) group, in rank order."""
-    system, query = key
-    docs, scores = columns
-    for rank, (doc, score) in enumerate(zip(docs, scores), start=1):
-        yield RunEntry(query=query, doc=doc, rank=rank, score=score, system=system)
+class _Segment(NamedTuple):
+    """Rows of one (system, query) group from one input, in input order."""
+    docs: tuple[str, ...]
+    scores: tuple[float, ...]
+    ranks: range | tuple[int, ...]  # a range when they count up by one
+    source: int  # the input's number
+    line: int | None  # of the first row (the rows are consecutive lines)
+
+
+#: (system, query) -> its segments, keys in first-appearance order.
+_Segments = dict[tuple[str, str], list[_Segment]]
 
 
 class RunSet:
@@ -81,47 +83,11 @@ class RunSet:
     """
 
     def __init__(self, entries: Iterable[RunEntry], strict_scores: bool = False):
-        groups: dict[tuple[str, str], dict[int, RunEntry]] = {}
-        for e in entries:
-            key = (e.system, e.query)
-            group = groups.setdefault(key, {})
-            if e.rank in group:
-                raise ValidationError(
-                    f"duplicate rank {e.rank} for system {e.system!r}, query {e.query!r}", key
-                )
-            group[e.rank] = e
-        self._groups: _RunColumns = {}
-        for key in list(groups):
-            # Pop each rank dict as it is converted, so both forms are never held whole.
-            by_rank = groups.pop(key)
-            system, query = key
-            n = len(by_rank)
-            if set(by_rank) != set(range(1, n + 1)):
-                missing = sorted(set(range(1, n + 1)) - set(by_rank))
-                raise ValidationError(
-                    f"ranks for system {system!r}, query {query!r} are not contiguous "
-                    f"1..{n} (missing {missing[:5]})", key
-                )
-            ordered = [by_rank[r] for r in range(1, n + 1)]
-            seen_docs: set[str] = set()
-            for e in ordered:
-                if e.doc in seen_docs:
-                    raise ValidationError(
-                        f"duplicate document {e.doc!r} for system {system!r}, query {query!r}",
-                        key,
-                    )
-                seen_docs.add(e.doc)
-            if strict_scores:
-                for a, b in zip(ordered, ordered[1:]):
-                    if b.score > a.score:
-                        raise ValidationError(
-                            f"score increases from rank {a.rank} to {b.rank} for system "
-                            f"{system!r}, query {query!r} (strict mode)", key
-                        )
-            self._groups[key] = (
-                tuple(e.doc for e in ordered),
-                tuple(e.score for e in ordered),
-            )
+        rows = [(e.query, e.doc, e.rank, e.score, e.system) for e in entries]
+        segments: _Segments = {}
+        if rows:
+            _cut(segments, [list(column) for column in zip(*rows)], 0, len(rows), 0, None)
+        self._groups = _checked(segments, strict_scores)
 
     @classmethod
     def _from_columns(cls, groups: _RunColumns) -> RunSet:
@@ -138,8 +104,9 @@ class RunSet:
 
     def entries(self) -> Iterator[RunEntry]:
         """All entries in deterministic (system, query, rank) order."""
-        for key in sorted(self._groups):
-            yield from _group_entries(key, self._groups[key])
+        for (system, query), (docs, scores) in sorted(self._groups.items()):
+            for rank, (doc, score) in enumerate(zip(docs, scores), start=1):
+                yield RunEntry(query=query, doc=doc, rank=rank, score=score, system=system)
 
     def ranking(self, system: str, query: str, depth: int | None = None) -> dict[str, int]:
         """Document -> rank map for one (system, query), truncated to `depth`."""
@@ -155,6 +122,100 @@ class RunSet:
 
     def __len__(self) -> int:
         return sum(len(docs) for docs, _ in self._groups.values())
+
+
+def _cut(segments: _Segments, columns: list, start: int, stop: int, source: int,
+         line: int | None) -> None:
+    """Add rows start..stop of the columns (queries, docs, ranks, scores, systems) to
+    `segments`, one segment per run of one key; `line` is the line number of row 0."""
+    queries, docs, ranks, scores, systems = columns
+    bounds = [start]
+    n = stop - start
+    if queries[start:stop].count(queries[start]) == systems[start:stop].count(systems[start]) == n:
+        bounds.append(stop)
+    else:
+        for _, run in groupby(zip(systems[start:stop], queries[start:stop])):
+            bounds.append(bounds[-1] + len(list(run)))
+    for a, b in zip(bounds, bounds[1:]):
+        counting = range(ranks[a], ranks[a] + b - a)
+        segments.setdefault((systems[a], queries[a]), []).append(_Segment(
+            tuple(docs[a:b]), tuple(scores[a:b]),
+            counting if ranks[a:b] == list(counting) else tuple(ranks[a:b]),
+            source, None if line is None else line + a))
+
+
+def _checked(
+    segments: _Segments, strict_scores: bool, names: list[str] | None = None
+) -> _RunColumns:
+    """Join each group's segments into (docs, scores) columns in rank order.
+
+    Segments whose ranks chain 1..n are joined as they are, others merged by
+    rank. Groups are checked in first-appearance order, each for: a document
+    twice in one input (named by the line of its second copy), a duplicate
+    rank, a gap, a document twice across inputs or entries, and in strict
+    mode a score that rises. Errors start with the `names` of its inputs.
+    """
+    groups: _RunColumns = {}
+    for key, segs in segments.items():
+        what = f"system {key[0]!r}, query {key[1]!r}"
+        sources = list(dict.fromkeys(seg.source for seg in segs))
+        where = "" if names is None else ", ".join(names[s] for s in sources) + ": "
+        lines_known = segs[0].line is not None
+        for source in sources if lines_known else ():  # a document twice in one input
+            own = [seg for seg in segs if seg.source == source]
+            docs = _joined([seg.docs for seg in own])
+            at = _first_repeat(docs)
+            if at is not None:
+                line = _joined([range(seg.line, seg.line + len(seg.docs)) for seg in own])[at]
+                named = "" if names is None else f"{names[source]}: "
+                raise ValidationError(
+                    f"{named}duplicate document {docs[at]!r} for {what} (line {line})"
+                )
+        firsts = accumulate((len(seg.docs) for seg in segs), initial=1)
+        if all(seg.ranks == range(r, r + len(seg.docs)) for seg, r in zip(segs, firsts)):
+            docs = _joined([seg.docs for seg in segs])
+            scores = _joined([seg.scores for seg in segs])
+        else:
+            by_rank: dict[int, tuple[str, float]] = {}
+            for docs, scores, ranks, _, _ in segs:
+                for rank, doc, score in zip(ranks, docs, scores):
+                    if rank in by_rank:
+                        raise ValidationError(f"{where}duplicate rank {rank} for {what}")
+                    by_rank[rank] = doc, score
+            n = len(by_rank)
+            missing = sorted(set(range(1, n + 1)).difference(by_rank))
+            if missing:
+                raise ValidationError(
+                    f"{where}ranks for {what} are not contiguous 1..{n} (missing {missing[:5]})"
+                )
+            docs, scores = map(tuple, zip(*(by_rank[r] for r in range(1, n + 1))))
+        if len(sources) > 1 or not lines_known:  # else checked within its one input
+            at = _first_repeat(docs)
+            if at is not None:
+                raise ValidationError(f"{where}duplicate document {docs[at]!r} for {what}")
+        if strict_scores:
+            rank = next(compress(count(1), map(operator.lt, scores, scores[1:])), None)
+            if rank is not None:
+                raise ValidationError(f"{where}score increases from rank {rank} to {rank + 1} "
+                                      f"for {what} (strict mode)")
+        groups[key] = docs, scores
+    return groups
+
+
+def _joined(parts: list[tuple]) -> tuple:
+    """The parts as one tuple; a single part as it is."""
+    return parts[0] if len(parts) == 1 else tuple(chain.from_iterable(parts))
+
+
+def _first_repeat(items: Sequence) -> int | None:
+    """Position of the first item equal to an earlier one, or None."""
+    if len(set(items)) < len(items):
+        seen = set()
+        for i, item in enumerate(items):
+            if item in seen:
+                return i
+            seen.add(item)
+    return None
 
 
 class Relevance(Enum):
@@ -202,9 +263,11 @@ class JudgmentSet:
         return self._grades == other._grades
 
 
-def _iter_records(stream: IO[str], n_cols: int) -> Iterator[tuple[int, list[str]]]:
+def _iter_records(
+    stream: Iterable[str], n_cols: int, start: int = 1
+) -> Iterator[tuple[int, list[str]]]:
     """Yield (line_number, fields) for every data line; skip blanks and # comments."""
-    for lineno, raw in enumerate(stream, start=1):
+    for lineno, raw in enumerate(stream, start):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -218,14 +281,84 @@ def _iter_records(stream: IO[str], n_cols: int) -> Iterator[tuple[int, list[str]
 
 def parse_run_file(stream: IO[str], strict_scores: bool = False) -> RunSet:
     """Parse a 6-column run file; may contain any number of systems."""
-    entries = list(iter_run_entries(stream))
-    return RunSet(entries, strict_scores=strict_scores)
+    segments: _Segments = {}
+    _read_runs(stream, segments, 0)
+    return RunSet._from_columns(_checked(segments, strict_scores))
 
 
-def iter_run_entries(stream: IO[str]) -> Iterator[RunEntry]:
-    seen: set[tuple[str, str, str]] = set()
-    for lineno, fields in _iter_records(stream, 6):
-        query, _dummy, doc, rank_s, score_s, system = fields
+#: Characters of run input read per chunk.
+_CHUNK_CHARS = 1 << 16
+
+
+def _read_runs(stream: IO[str], segments: _Segments, source: int) -> None:
+    """Read one run input into `segments`, in chunks of `_CHUNK_CHARS`.
+
+    Rows are cut into segments at each rank 1. The rows after the last rank 1
+    are held back, since their group may continue in the next chunk, so a
+    group whose lines come in rank order arrives whole; a skipped line ends
+    the held rows. A chunk with a line that does not convert is read again
+    line by line, for the error of its first such line.
+    """
+    columns: list[list] = [[], [], [], [], []]  # queries, docs, ranks, scores, systems
+    ranks = columns[2]
+    line = lineno = 1  # line numbers of the first held row and of the chunk's first line
+    while lines := stream.readlines(_CHUNK_CHARS):
+        try:
+            pieces = _pieces(lines, lineno)
+        except ValueError:
+            _raise_first_fault(lines, lineno)
+        lineno += len(lines)
+        del lines
+        for first, piece in pieces:
+            if first != line + len(ranks):  # a skipped line ends the held rows
+                if ranks:
+                    _cut(segments, columns, 0, len(ranks), source, line)
+                for column in columns:
+                    column.clear()
+                line = first
+            held = len(ranks)
+            for column, new in zip(columns, piece):
+                column += new
+            start = 0
+            while True:
+                try:  # held rows have no rank 1 after their first
+                    stop = ranks.index(1, max(start + 1, held))
+                except ValueError:
+                    break
+                _cut(segments, columns, start, stop, source, line)
+                start = stop
+            for column in columns:
+                del column[:start]
+            line += start
+    if ranks:
+        _cut(segments, columns, 0, len(ranks), source, line)
+
+
+def _pieces(lines: list[str], lineno: int) -> list[tuple[int, list]]:
+    """(line number, columns) of each run of data lines, which are neither blank nor start
+    with "#"; ValueError on a data line that does not convert."""
+    rows = list(map(str.split, lines))
+    if set(map(len, rows)) == {6} and "#" not in "".join(lines):
+        spans = [(0, len(rows))]
+    else:
+        data = [bool(row) and not row[0].startswith("#") for row in rows]
+        ends = list(accumulate(len(list(run)) for _, run in groupby(data)))
+        spans = [(a, b) for a, b in zip([0, *ends], ends) if data[a]]
+    pieces = []
+    for a, b in spans:
+        if set(map(len, rows[a:b])) != {6}:
+            raise ValueError("a line without 6 fields")
+        queries, _, docs, ranks, scores, systems = zip(*rows[a:b])
+        ranks, scores = list(map(int, ranks)), list(map(float, scores))
+        if min(ranks) < 1 or not all(map(math.isfinite, scores)):
+            raise ValueError("a rank below 1 or a score that is not finite")
+        pieces.append((lineno + a, [queries, docs, ranks, scores, systems]))
+    return pieces
+
+
+def _raise_first_fault(lines: list[str], lineno: int) -> NoReturn:
+    """Raise the error of the first line that does not convert, as a line reader does."""
+    for lineno, (_, _, _, rank_s, score_s, _) in _iter_records(lines, 6, lineno):
         try:
             rank = int(rank_s)
         except ValueError:
@@ -238,14 +371,7 @@ def iter_run_entries(stream: IO[str]) -> Iterator[RunEntry]:
             raise ParseError(f"score is not a number: {score_s!r}", lineno) from None
         if not math.isfinite(score):
             raise ParseError(f"score is not finite: {score_s!r}", lineno)
-        key = (system, query, doc)
-        if key in seen:
-            raise ValidationError(
-                f"duplicate document {doc!r} for system {system!r}, query {query!r} "
-                f"(line {lineno})"
-            )
-        seen.add(key)
-        yield RunEntry(query=query, doc=doc, rank=rank, score=score, system=system)
+    raise AssertionError("a chunk that does not convert has no faulty line")
 
 
 def parse_judgments(stream: IO[str], grade_map: Mapping[int, Relevance] | None = None) -> JudgmentSet:
@@ -294,22 +420,12 @@ def write_judgments(judgments: JudgmentSet, sink: IO[str]) -> None:
         sink.write(f"{query} 0 {doc} {values[grade]}\n")
 
 
-#: Characters of run file read per chunk by the columnar fast path in `load_runs`.
-_CHUNK_CHARS = 1 << 16
-
-
 def load_runs(path: str | Path, strict_scores: bool = False) -> RunSet:
     """Load runs from a single file or from every regular file in a directory.
 
-    A file whose lines come as whole (system, query) groups in rank order,
-    each group once and none read from an earlier file, is read in columns
-    by `_read_columns`. Any other file (comments, blank lines, other line
-    orders, a group that continues from an earlier file, or a line the fast
-    path does not accept) is read by `iter_run_entries`. `RunSet` then
-    merges and checks those entries, in file order, together with the
-    fast-path groups that share their keys; the line parser and `RunSet`
-    alone decide what is valid and what an error says, after the names of
-    the files that hold the group.
+    Each file is read once, in name order, by the run reader; a group may
+    continue from one file into another. A line error names its file and
+    line; a group error names the files that hold the group.
     """
     path = Path(path)
     if path.is_dir():
@@ -318,133 +434,16 @@ def load_runs(path: str | Path, strict_scores: bool = False) -> RunSet:
             raise ConfigError(f"runs directory {path} contains no files")
     else:
         files = [path]
-    # Per file, in order: its groups (fast path) or its entries (line parser).
-    parts: list[_RunColumns | list[RunEntry]] = []
-    seen: set[tuple[str, str]] = set()
-    for f in files:
+    segments: _Segments = {}
+    for source, f in enumerate(files):
         with open(f, "r", encoding="utf-8-sig") as fh:
-            part = _read_columns(fh, seen, strict_scores)
-        if part is None:
-            part = _read_entries(f)
-            seen.update((e.system, e.query) for e in part)
-        else:
-            seen.update(part)
-        parts.append(part)
-    slow = {(e.system, e.query) for part in parts if isinstance(part, list) for e in part}
-    groups: _RunColumns = {}
-    entries: list[RunEntry] = []
-    files_of: dict[tuple[str, str], list[str]] = {key: [] for key in slow}  # for errors
-    for f, part in zip(files, parts):
-        if isinstance(part, list):
-            entries += part
-            for key in {(e.system, e.query) for e in part}:
-                files_of[key].append(f.name)
-        else:
-            for key, columns in part.items():
-                if key in slow:
-                    entries += _group_entries(key, columns)
-                    files_of[key].append(f.name)
-                else:
-                    groups[key] = columns
-    if entries:
-        try:
-            groups.update(RunSet(entries, strict_scores=strict_scores)._groups)
-        except ValidationError as exc:
-            raise ValidationError(f"{', '.join(files_of[exc.group])}: {exc}", exc.group) from exc
-    return RunSet._from_columns(groups)
-
-
-def _read_entries(path: Path) -> list[RunEntry]:
-    """Read one run file with the line parser; errors name the file."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        try:
-            return list(iter_run_entries(fh))
-        except UnicodeDecodeError as exc:
-            raise _decode_error(path, exc) from exc
-        except (ParseError, ValidationError) as exc:
-            raise type(exc)(f"{path.name}: {exc}") from exc
-
-
-def _read_columns(
-    fh: IO[str], seen: set[tuple[str, str]], strict_scores: bool
-) -> _RunColumns | None:
-    """The groups of one run file, or None where the file needs the line parser.
-
-    The file is read in chunks of `_CHUNK_CHARS`, split and transposed into
-    columns, and checked one group at a time with list operations. A group
-    starts at each rank 1; the last group of a chunk is held back, since it
-    may continue in the next one. A group is accepted when every line has 6
-    fields, the first does not start with "#", the ranks are exactly 1..n,
-    the query and system are constant, the documents are unique, the key is
-    neither in `seen` nor earlier in this file, and (in strict mode) the
-    scores do not increase.
-    """
-    groups: _RunColumns = {}
-    queries: list[str] = []
-    docs: list[str] = []
-    ranks: list[int] = []
-    scores: list[float] = []
-    systems: list[str] = []
-    while True:
-        try:
-            lines = fh.readlines(_CHUNK_CHARS)
-        except UnicodeDecodeError:
-            return None
-        more = bool(lines)
-        held = len(ranks)
-        if more:
-            rows = list(map(str.split, lines))
-            del lines
-            if set(map(len, rows)) != {6}:
-                return None
-            q, _, d, r, s, y = zip(*rows)
-            del rows
             try:
-                new_ranks = list(map(int, r))
-                new_scores = list(map(float, s))
-            except ValueError:
-                return None
-            if not all(map(math.isfinite, new_scores)):
-                return None
-            queries += q
-            docs += d
-            ranks += new_ranks
-            scores += new_scores
-            systems += y
-        if not ranks:
-            return groups
-        if ranks[0] != 1:
-            return None
-        start = 0
-        while start < len(ranks):
-            try:
-                # The held-back group has no rank 1 after its first line.
-                stop = ranks.index(1, max(start + 1, held))
-            except ValueError:
-                if more:
-                    break  # hold the last group back: it may continue in the next chunk
-                stop = len(ranks)
-            n = stop - start
-            query, system = queries[start], systems[start]
-            key = (system, query)
-            group_docs = tuple(docs[start:stop])
-            group_scores = tuple(scores[start:stop])
-            if (
-                key in groups
-                or key in seen
-                or query.startswith("#")
-                or ranks[start:stop] != list(range(1, n + 1))
-                or queries[start:stop].count(query) != n
-                or systems[start:stop].count(system) != n
-                or len(set(group_docs)) != n
-                or (strict_scores and list(group_scores) != sorted(group_scores, reverse=True))
-            ):
-                return None
-            groups[key] = (group_docs, group_scores)
-            start = stop
-        if not more:
-            return groups
-        del queries[:start], docs[:start], ranks[:start], scores[:start], systems[:start]
+                _read_runs(fh, segments, source)
+            except UnicodeDecodeError as exc:
+                raise _decode_error(f, exc) from exc
+            except ParseError as exc:
+                raise ParseError(f"{f.name}: {exc}") from exc
+    return RunSet._from_columns(_checked(segments, strict_scores, [f.name for f in files]))
 
 
 def load_judgments(path: str | Path, grade_map: Mapping[int, Relevance] | None = None) -> JudgmentSet:

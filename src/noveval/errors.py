@@ -16,11 +16,7 @@ class ParseError(NovevalError):
 
 
 class ValidationError(NovevalError):
-    """Parseable input that violates a data-model invariant; `group` is its run group."""
-
-    def __init__(self, message: str, group: tuple[str, str] | None = None):
-        super().__init__(message)
-        self.group = group
+    """Parseable input that violates a data-model invariant."""
 
 
 class ConfigError(NovevalError):

@@ -371,3 +371,54 @@ def test_byte_order_mark_is_dropped(tmp_path, capsys):
         reports.append(doc)
     assert reports[0] == reports[1]
     assert reports[1]["per_query"]["queries"] == ["q1"]
+
+
+def test_grade_value_mapped_twice_rejected(corpus, capsys):
+    runs, qrels = corpus
+    argv = ["--runs", str(runs), "--qrels", str(qrels), "--depth", "10"]
+    assert main(argv + ["--grade-map", "r=2,p=2,i=0"]) == 1
+    assert _single_error_line(capsys.readouterr().err) == (
+        "error: grade value 2 is mapped twice in grade map 'r=2,p=2,i=0'"
+    )
+    assert main(argv + ["--grade-map", "r=2,p=1,i=0"]) == 0
+
+
+def _late_non_utf8() -> bytes:
+    """A run file whose first byte that is not UTF-8 comes after the first 64 KiB."""
+    head = RUNS + "".join(f"q2 0 d{r} {r} 0.5 s1\n" for r in range(1, 4001))
+    assert len(head) > 1 << 16
+    return head.encode() + b"q2 0 d\xff 4001 0.1 s1\n"
+
+
+@pytest.mark.parametrize(
+    "content,code",
+    [
+        pytest.param(RUNS.replace("d3", "d\x003").encode(), 0, id="nul_in_token"),
+        pytest.param((RUNS + f"q1 0 d9 {'7' * 5000} 0.1 s1\n").encode(), 1, id="huge_rank"),
+        pytest.param(RUNS.replace("0.8 s1", "inf s1").encode(), 1, id="inf_score"),
+        pytest.param(RUNS.replace("0.8 s1", "nan s1").encode(), 1, id="nan_score"),
+        pytest.param(b"\xef\xbb\xbf", 1, id="bom_only"),
+        pytest.param(b"", 1, id="empty"),
+        pytest.param(RUNS.replace("\n", "\r\n").encode(), 0, id="crlf"),
+        pytest.param(_late_non_utf8(), 1, id="late_non_utf8"),
+        pytest.param(None, 0, id="directory"),
+    ],
+)
+def test_odd_run_inputs_end_without_traceback(tmp_path, capsys, content, code):
+    qrels = tmp_path / "qrels.txt"
+    qrels.write_text(QRELS)
+    if content is None:
+        # A runs directory holding a sub-directory and a dangling symlink besides its files.
+        runs = tmp_path / "runs"
+        (runs / "sub").mkdir(parents=True)
+        (runs / "sub" / "s9.txt").write_text("q1 0 d1 1 0.9 s9\n")
+        (runs / "dangling.txt").symlink_to(tmp_path / "missing.txt")
+        (runs / "s1.txt").write_text(RUNS)
+    else:
+        runs = tmp_path / "runs.txt"
+        runs.write_bytes(content)
+    assert main(["--runs", str(runs), "--qrels", str(qrels), "--depth", "10"]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    messages = [l for l in err.splitlines() if l.startswith(("error: ", "I/O error: "))]
+    assert len(messages) == (code != 0) and len(err.splitlines()) == len(messages), err

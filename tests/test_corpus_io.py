@@ -192,7 +192,7 @@ def test_judgmentset_absent_means_unjudged():
     assert js.relevant_docs("q") == set()
 
 
-# Columnar fast path of load_runs against the line parser
+# The run reader of load_runs against one canonical file and the entries that made it
 
 
 def _corpus_lines(seed: int = 7) -> list[str]:
@@ -266,13 +266,6 @@ def _report(runs_path, qrels_path, out_path) -> dict:
     return doc
 
 
-def _refuse_line_parser(monkeypatch):
-    def refuse(stream):
-        raise AssertionError("the line parser ran on an input the fast path should take")
-
-    monkeypatch.setattr(corpus_io, "iter_run_entries", refuse)
-
-
 def test_fast_path_equals_line_parser_in_every_layout(tmp_path):
     lines = _corpus_lines()
     forms = _write_forms(tmp_path, lines)
@@ -288,58 +281,38 @@ def test_fast_path_equals_line_parser_in_every_layout(tmp_path):
         assert _report(path, qrels, tmp_path / f"{name}.json") == expected, name
 
 
-def test_canonical_layouts_skip_the_line_parser(tmp_path, monkeypatch):
-    lines = _corpus_lines()
-    forms = _write_forms(tmp_path, lines)
-    reference = parse_run_file(io.StringIO("".join(lines)))
-    _refuse_line_parser(monkeypatch)
-    assert load_runs(forms["canonical"]) == reference
-    assert load_runs(forms["per_system"]) == reference
-
-
-def _record_line_parser(monkeypatch) -> list[str]:
-    """Let the line parser run, recording the name of each file it reads."""
-    parsed = []
-    line_parser = corpus_io.iter_run_entries
-
-    def recording(stream):
-        parsed.append(Path(stream.name).name)
-        return line_parser(stream)
-
-    monkeypatch.setattr(corpus_io, "iter_run_entries", recording)
-    return parsed
-
-
 @pytest.mark.parametrize(
-    "form,slow_files",
-    [("per_system_last_commented", ["s3.txt"]), ("split_group", ["b.txt"])],
+    "form",
+    ["canonical", "shuffled", "commented", "per_system", "per_system_last_commented",
+     "split_group"],
 )
-def test_only_the_file_that_misses_reaches_the_line_parser(
-    tmp_path, monkeypatch, form, slow_files
-):
+def test_each_run_file_is_opened_once(tmp_path, monkeypatch, form):
     lines = _corpus_lines()
-    forms = _write_forms(tmp_path, lines)
+    path = _write_forms(tmp_path, lines)[form]
     reference = parse_run_file(io.StringIO("".join(lines)))
-    parsed = _record_line_parser(monkeypatch)
-    assert load_runs(forms[form]) == reference
-    assert parsed == slow_files
+    opened = []
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(Path(file).name)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(corpus_io, "open", recording_open, raising=False)
+    assert load_runs(path) == reference
+    files = sorted(p.name for p in path.iterdir()) if path.is_dir() else [path.name]
+    assert opened == files
 
 
-def test_group_read_by_the_line_parser_sends_later_files_to_it(tmp_path, monkeypatch):
-    # a.txt holds ranks 2-3 (not rank 1 first: line parser); b.txt holds rank 1 of
-    # the same group, which the fast path alone would accept.
+def test_group_read_by_the_line_parser_sends_later_files_to_it(tmp_path):
+    # a.txt holds ranks 2-3 of a group whose rank 1 comes later, in b.txt.
     (tmp_path / "a.txt").write_text("q1 0 d2 2 0.8 s1\nq1 0 d3 3 0.7 s1\n")
     (tmp_path / "b.txt").write_text("q1 0 d1 1 0.9 s1\nq2 0 d1 1 0.9 s1\n")
-    parsed = _record_line_parser(monkeypatch)
     runs = load_runs(tmp_path)
-    assert parsed == ["a.txt", "b.txt"]
     assert runs.ranking("s1", "q1") == {"d1": 1, "d2": 2, "d3": 3}
     assert runs.ranking("s1", "q2") == {"d1": 1}
 
 
 def test_errors_keep_file_order_across_both_paths(tmp_path):
-    # Both groups are broken once merged; the first in file order is reported,
-    # although its fast-path half comes from a file read before the line parser ran.
+    # Both groups are broken once merged; the one that appears first is reported.
     (tmp_path / "a.txt").write_text("q1 0 d1 1 0.9 s1\nq2 0 d1 1 0.9 s1\n")
     (tmp_path / "b.txt").write_text("# c\nq2 0 d2 3 0.8 s1\nq1 0 d1 2 0.8 s1\n")
     with pytest.raises(ValidationError) as info:
@@ -354,17 +327,20 @@ def test_groups_straddling_chunk_boundaries(tmp_path, monkeypatch, chunk_chars):
     path.write_text("".join(lines))
     assert path.stat().st_size > 4 * chunk_chars  # several chunks, groups cut mid-way
     reference = parse_run_file(io.StringIO("".join(lines)))
-    _refuse_line_parser(monkeypatch)
     monkeypatch.setattr(corpus_io, "_CHUNK_CHARS", chunk_chars)
     runs = load_runs(path)
     assert runs == reference
     assert list(runs.entries()) == list(reference.entries())
+    # A group in rank order arrives whole, as one segment, however the chunks cut it.
+    segments = {}
+    with open(path) as fh:
+        corpus_io._read_runs(fh, segments, 0)
+    assert [len(segs) for segs in segments.values()] == [1] * 12
 
 
-def test_strict_scores_fast_path(tmp_path, monkeypatch):
+def test_strict_scores_fast_path(tmp_path):
     path = tmp_path / "runs.txt"
     path.write_text("q1 0 d1 1 0.9 s1\nq1 0 d2 2 0.9 s1\nq1 0 d3 3 0.1 s1\n")
-    _refuse_line_parser(monkeypatch)
     assert len(load_runs(path, strict_scores=True)) == 3
 
 
@@ -404,15 +380,38 @@ def test_valid_edge_files_load_as_the_line_parser_reads_them(tmp_path, text):
         ("q1 0 d1 1 0.9 s1\nq2 0 d2 2 0.8 s1\n", ValidationError,
          "runs.txt: ranks for system 's1', query 'q2' are not contiguous 1..1 (missing [1])"),
         ("q1 0 d1 one 0.9 s1\n", ParseError, "runs.txt: line 1: rank is not an integer: 'one'"),
+        ("q1 0 d1 1 0.9 s1\nq1 0 d2 0 0.8 s1\n", ParseError,
+         "runs.txt: line 2: rank must be >= 1, got 0"),
         ("q1 0 d1 1 0.9 s1\nq1 0 d2 1 0.8 s1\n", ValidationError,
          "runs.txt: duplicate rank 1 for system 's1', query 'q1'"),
+        # One line repeated verbatim: its document, not its rank, is reported.
+        ("q1 0 d1 1 0.9 s1\nq1 0 d1 1 0.9 s1\n", ValidationError,
+         "runs.txt: duplicate document 'd1' for system 's1', query 'q1' (line 2)"),
+        # Skipped lines before the second copy count in its line number.
+        ("# c\nq1 0 d1 1 0.9 s1\n\nq1 0 d1 2 0.8 s1\n", ValidationError,
+         "runs.txt: duplicate document 'd1' for system 's1', query 'q1' (line 4)"),
+        # A group split across two files, with a document twice inside the second.
+        ({"a.txt": "q1 0 d1 1 0.9 s1\n",
+          "b.txt": "q1 0 d2 2 0.8 s1\nq2 0 d9 1 0.9 s1\nq1 0 d2 3 0.7 s1\n"},
+         ValidationError, "b.txt: duplicate document 'd2' for system 's1', query 'q1' (line 3)"),
+        # Entries come from no file: the message names neither file nor line.
+        ([RunEntry("q1", "d1", 1, 0.9, "s1"), RunEntry("q1", "d1", 2, 0.8, "s1")],
+         ValidationError, "duplicate document 'd1' for system 's1', query 'q1'"),
     ],
 )
 def test_invalid_files_fail_as_the_line_parser_says(tmp_path, text, error, message):
-    path = tmp_path / "runs.txt"
-    path.write_text(text)
+    """`text` is one run file's text, a runs directory as {name: text}, or RunSet entries."""
+    if isinstance(text, list):
+        load = lambda: RunSet(text)
+    elif isinstance(text, dict):
+        for name, content in text.items():
+            (tmp_path / name).write_text(content)
+        load = lambda: load_runs(tmp_path)
+    else:
+        (tmp_path / "runs.txt").write_text(text)
+        load = lambda: load_runs(tmp_path / "runs.txt")
     with pytest.raises(error) as info:
-        load_runs(path)
+        load()
     assert str(info.value) == message
 
 
@@ -422,3 +421,58 @@ def test_strict_scores_error_comes_from_the_line_parser(tmp_path):
     with pytest.raises(ValidationError, match="score increases from rank 1 to 2"):
         load_runs(path, strict_scores=True)
     assert len(load_runs(path)) == 2
+
+
+def _random_entries(rng: random.Random) -> list[RunEntry]:
+    """Groups of random depth with non-increasing scores (ties included)."""
+    entries = []
+    for system in rng.sample(["s0", "s1", "s2", "s3"], rng.randint(2, 4)):
+        for query in rng.sample(["q0", "q1", "q2"], rng.randint(1, 3)):
+            score = rng.random()
+            for rank, doc in enumerate(rng.sample(range(60), rng.randint(1, 20)), start=1):
+                score = score if rng.random() < 0.2 else score * rng.random()
+                entries.append(RunEntry(query, f"d{doc}", rank, score, system))
+    return entries
+
+
+def _run_lines(entries: list[RunEntry]) -> list[str]:
+    return [f"{e.query} 0 {e.doc} {e.rank} {e.score!r} {e.system}" for e in entries]
+
+
+def _random_layout(rng: random.Random, entries: list[RunEntry]) -> list[str]:
+    """The entries as the texts of 1-4 run files: lines maybe shuffled, skipped lines, CRLF."""
+    lines = _run_lines(entries)
+    if rng.random() < 0.5:
+        rng.shuffle(lines)
+    for _ in range(rng.choice([0, 0, 1, 5])):
+        skipped = rng.choice(["", "   ", "# a comment", "#q0 0 d1 1 0.5 s0", "  # indented"])
+        lines.insert(rng.randint(0, len(lines)), skipped)
+    cuts = sorted(rng.sample(range(1, len(lines)), min(rng.randint(0, 3), len(lines) - 1)))
+    end = "\r\n" if rng.random() < 0.3 else "\n"
+    return ["".join(line + end for line in lines[a:b])
+            for a, b in zip([0, *cuts], [*cuts, len(lines)])]
+
+
+def test_every_layout_loads_as_the_entries_that_made_it(tmp_path, monkeypatch):
+    rng = random.Random(2024)
+    for case in range(200):
+        entries = _random_entries(rng)
+        texts = _random_layout(rng, entries)
+        chunk_chars = rng.choice([1, 40, 333, 1 << 16])
+        monkeypatch.setattr(corpus_io, "_CHUNK_CHARS", chunk_chars)
+        runs_dir = tmp_path / f"layout{case}"
+        runs_dir.mkdir()
+        for i, text in enumerate(texts):
+            (runs_dir / f"part{i}.txt").write_bytes(text.encode())
+        path = runs_dir if len(texts) > 1 else runs_dir / "part0.txt"
+        expected = RunSet(entries)
+        assert load_runs(path) == expected, (case, chunk_chars, texts)
+        if case < 4:  # the CLI report is equal apart from the input digests
+            docs = sorted({e.doc for e in entries})
+            qrels = tmp_path / f"qrels{case}.txt"
+            qrels.write_text("".join(f"{q} 0 {d} 2\n" for q in ("q0", "q1", "q2")
+                                     for d in rng.sample(docs, min(8, len(docs)))))
+            canonical = tmp_path / f"canonical{case}.txt"
+            canonical.write_text("".join(line + "\n" for line in _run_lines(entries)))
+            assert _report(path, qrels, tmp_path / f"layout{case}.json") == _report(
+                canonical, qrels, tmp_path / f"canonical{case}.json"), case
