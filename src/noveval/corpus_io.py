@@ -15,10 +15,12 @@ dropped.
 
 A `RunSet` stores each (system, query) group as two columns in rank order:
 document ids and scores. One reader takes every run input, each file of
-`load_runs` and the stream of `parse_run_file`: it reads in bounded chunks,
-converts each chunk to columns and cuts the rows into (system, query)
-segments. One group check, which `RunSet(entries)` shares, joins each
-group's segments and decides what is valid and what every error says.
+`load_runs` and the stream of `parse_run_file`: it splits chunks of whole lines
+with one `str.split` each (a NUL token per newline proves 6 fields a line),
+converts the columns and cuts the rows into (system, query) segments. One
+group check, which `RunSet(entries)` shares, joins each group's segments and
+decides what is valid and what every error says. `RunSet.ranking` can map only
+given (judged-relevant) documents; `JudgmentSet` indexes its grades by query.
 
 All parsed structures are immutable after construction and safe to share
 across threads.
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, chain, compress, count, groupby
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
 from .errors import ConfigError, ParseError, ValidationError
 
@@ -108,12 +110,14 @@ class RunSet:
             for rank, (doc, score) in enumerate(zip(docs, scores), start=1):
                 yield RunEntry(query=query, doc=doc, rank=rank, score=score, system=system)
 
-    def ranking(self, system: str, query: str, depth: int | None = None) -> dict[str, int]:
-        """Document -> rank map for one (system, query), truncated to `depth`."""
+    def ranking(self, system: str, query: str, depth: int | None = None, *,
+                among: set[str] | None = None) -> dict[str, int]:
+        """Document -> rank map for one (system, query) to `depth`; with `among`, only its docs."""
         docs = self._groups.get((system, query), ((), ()))[0]
         if depth is not None:
             docs = docs[:depth]
-        return dict(zip(docs, range(1, len(docs) + 1)))
+        ranked = zip(docs, count(1))
+        return dict(ranked if among is None else compress(ranked, map(among.__contains__, docs)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RunSet):
@@ -233,34 +237,37 @@ DEFAULT_GRADE_MAP: dict[int, Relevance] = {
 
 
 class JudgmentSet:
-    """Graded relevance assessments; absence of a (query, doc) pair means unjudged."""
+    """Graded relevance assessments, kept by query; an absent (query, doc) pair is unjudged."""
 
     def __init__(self, grades: Mapping[tuple[str, str], Relevance]):
-        self._grades = dict(grades)
+        self._by_query: dict[str, dict[str, Relevance]] = {}  # no inner dict is empty
+        for (query, doc), grade in grades.items():
+            self._by_query.setdefault(query, {})[doc] = grade
 
     def grade(self, query: str, doc: str) -> Relevance | None:
-        return self._grades.get((query, doc))
+        return self._by_query.get(query, {}).get(doc)
 
     def queries(self) -> list[str]:
-        return sorted({q for q, _ in self._grades})
+        return sorted(self._by_query)
 
     def relevant_docs(self, query: str, include_partial: bool = False) -> set[str]:
         wanted = {Relevance.RELEVANT}
         if include_partial:
             wanted.add(Relevance.PARTIALLY_RELEVANT)
-        return {d for (q, d), g in self._grades.items() if q == query and g in wanted}
+        return {d for d, g in self._by_query.get(query, {}).items() if g in wanted}
 
     def items(self) -> Iterator[tuple[str, str, Relevance]]:
-        for (q, d) in sorted(self._grades):
-            yield q, d, self._grades[(q, d)]
+        for q, grades in sorted(self._by_query.items()):
+            for d in sorted(grades):
+                yield q, d, grades[d]
 
     def __len__(self) -> int:
-        return len(self._grades)
+        return sum(map(len, self._by_query.values()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, JudgmentSet):
             return NotImplemented
-        return self._grades == other._grades
+        return self._by_query == other._by_query
 
 
 def _iter_records(
@@ -291,7 +298,7 @@ _CHUNK_CHARS = 1 << 16
 
 
 def _read_runs(stream: IO[str], segments: _Segments, source: int) -> None:
-    """Read one run input into `segments`, in chunks of `_CHUNK_CHARS`.
+    """Read one run input into `segments`, in chunks cut after the last newline of a read.
 
     Rows are cut into segments at each rank 1. The rows after the last rank 1
     are held back, since their group may continue in the next chunk, so a
@@ -302,13 +309,19 @@ def _read_runs(stream: IO[str], segments: _Segments, source: int) -> None:
     columns: list[list] = [[], [], [], [], []]  # queries, docs, ranks, scores, systems
     ranks = columns[2]
     line = lineno = 1  # line numbers of the first held row and of the chunk's first line
-    while lines := stream.readlines(_CHUNK_CHARS):
+    tail = ""  # the text after the last newline read
+    # The reads, then a "\n" to end a last line that has none (else it reads as a blank line).
+    for read in chain(iter(lambda: stream.read(_CHUNK_CHARS), ""), ["\n"]):
+        cut = read.rfind("\n") + 1
+        if not cut:
+            tail += read  # a line longer than a read
+            continue
+        text, tail = tail + read[:cut], read[cut:]
         try:
-            pieces = _pieces(lines, lineno)
+            pieces = _pieces(text, lineno)
         except ValueError:
-            _raise_first_fault(lines, lineno)
-        lineno += len(lines)
-        del lines
+            _raise_first_fault(text.split("\n"), lineno)
+        lineno += text.count("\n")
         for first, piece in pieces:
             if first != line + len(ranks):  # a skipped line ends the held rows
                 if ranks:
@@ -334,26 +347,39 @@ def _read_runs(stream: IO[str], segments: _Segments, source: int) -> None:
         _cut(segments, columns, 0, len(ranks), source, line)
 
 
-def _pieces(lines: list[str], lineno: int) -> list[tuple[int, list]]:
-    """(line number, columns) of each run of data lines, which are neither blank nor start
-    with "#"; ValueError on a data line that does not convert."""
-    rows = list(map(str.split, lines))
-    if set(map(len, rows)) == {6} and "#" not in "".join(lines):
-        spans = [(0, len(rows))]
-    else:
+def _pieces(text: str, lineno: int) -> list[tuple[int, list]]:
+    """(line number, columns) of each run of data lines, neither blank nor "#", in `text`;
+    ValueError on one that does not convert. A text without "#" and NUL is split once, a
+    NUL token for each of its n newlines: every line has 6 fields exactly when that gives
+    7n tokens with a NUL at every seventh. Any other text is split line by line."""
+    spans = []
+    if "#" not in text and "\x00" not in text:
+        n = text.count("\n")
+        toks = text.replace("\n", " \x00 ").split()
+        if len(toks) == 7 * n and toks[6::7].count("\x00") == n:
+            spans.append((lineno, toks[0::7], toks[2::7], toks[3::7], toks[4::7], toks[5::7]))
+    if not spans:
+        rows = list(map(str.split, text.split("\n")))
         data = [bool(row) and not row[0].startswith("#") for row in rows]
         ends = list(accumulate(len(list(run)) for _, run in groupby(data)))
-        spans = [(a, b) for a, b in zip([0, *ends], ends) if data[a]]
+        for a, b in zip([0, *ends], ends):
+            if data[a]:
+                if set(map(len, rows[a:b])) != {6}:
+                    raise ValueError("a line without 6 fields")
+                queries, _, docs, ranks, scores, systems = zip(*rows[a:b])
+                spans.append((lineno + a, queries, docs, ranks, scores, systems))
     pieces = []
-    for a, b in spans:
-        if set(map(len, rows[a:b])) != {6}:
-            raise ValueError("a line without 6 fields")
-        queries, _, docs, ranks, scores, systems = zip(*rows[a:b])
+    for first, queries, docs, ranks, scores, systems in spans:
         ranks, scores = list(map(int, ranks)), list(map(float, scores))
         if min(ranks) < 1 or not all(map(math.isfinite, scores)):
             raise ValueError("a rank below 1 or a score that is not finite")
-        pieces.append((lineno + a, [queries, docs, ranks, scores, systems]))
+        pieces.append((first, [queries, docs, ranks, scores, systems]))
     return pieces
+
+
+def _echo(token: str, show: Callable[[str], str] = repr) -> str:
+    """`show(token)` for an error message, a token of over 40 characters cut to 40."""
+    return show(token[:40]) + (f"… ({len(token)} characters)" if len(token) > 40 else "")
 
 
 def _raise_first_fault(lines: list[str], lineno: int) -> NoReturn:
@@ -362,15 +388,15 @@ def _raise_first_fault(lines: list[str], lineno: int) -> NoReturn:
         try:
             rank = int(rank_s)
         except ValueError:
-            raise ParseError(f"rank is not an integer: {rank_s!r}", lineno) from None
+            raise ParseError(f"rank is not an integer: {_echo(rank_s)}", lineno) from None
         if rank < 1:
-            raise ParseError(f"rank must be >= 1, got {rank}", lineno)
+            raise ParseError(f"rank must be >= 1, got {_echo(str(rank), str)}", lineno)
         try:
             score = float(score_s)
         except ValueError:
-            raise ParseError(f"score is not a number: {score_s!r}", lineno) from None
+            raise ParseError(f"score is not a number: {_echo(score_s)}", lineno) from None
         if not math.isfinite(score):
-            raise ParseError(f"score is not finite: {score_s!r}", lineno)
+            raise ParseError(f"score is not finite: {_echo(score_s)}", lineno)
     raise AssertionError("a chunk that does not convert has no faulty line")
 
 
@@ -378,26 +404,26 @@ def parse_judgments(stream: IO[str], grade_map: Mapping[int, Relevance] | None =
     """Parse a 4-column judgment file through `grade_map` (default 2/1/0)."""
     if grade_map is None:
         grade_map = DEFAULT_GRADE_MAP
-    grades: dict[tuple[str, str], Relevance] = {}
+    judgments = JudgmentSet({})  # filled in place, line by line
     for lineno, fields in _iter_records(stream, 4):
         query, _iter, doc, grade_s = fields
         try:
             grade_val = int(grade_s)
         except ValueError:
-            raise ParseError(f"grade is not an integer: {grade_s!r}", lineno) from None
+            raise ParseError(f"grade is not an integer: {_echo(grade_s)}", lineno) from None
         if grade_val not in grade_map:
             raise ConfigError(
-                f"line {lineno}: grade value {grade_val} has no mapping "
+                f"line {lineno}: grade value {_echo(str(grade_val), str)} has no mapping "
                 f"(known: {sorted(grade_map)})"
             )
         grade = grade_map[grade_val]
-        key = (query, doc)
-        if key in grades and grades[key] is not grade:
+        grades = judgments._by_query.setdefault(query, {})
+        if grades.get(doc, grade) is not grade:
             raise ValidationError(
                 f"conflicting grades for query {query!r}, doc {doc!r} (line {lineno})"
             )
-        grades[key] = grade
-    return JudgmentSet(grades)
+        grades[doc] = grade
+    return judgments
 
 
 def write_run_file(runs: RunSet, sink: IO[str]) -> None:

@@ -61,7 +61,7 @@ def run_leave_one_out(
     relevant: dict[str, set[str]] = {}
     for query in sorted(plan.queries):
         relevant[query] = judgments.relevant_docs(query, cfg.partial_relevant_counts)
-        rankings = [runs.ranking(system, query, cfg.depth_n) for system in systems]
+        rankings = [runs.ranking(s, query, cfg.depth_n, among=relevant[query]) for s in systems]
         tables[query] = QueryTable(rankings, relevant[query], cfg.depth_n)
     results: list[SystemQueryResult] = []
     for i, system in enumerate(systems):

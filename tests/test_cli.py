@@ -383,6 +383,23 @@ def test_grade_value_mapped_twice_rejected(corpus, capsys):
     assert main(argv + ["--grade-map", "r=2,p=1,i=0"]) == 0
 
 
+def test_long_tokens_are_cut_in_error_messages(corpus, tmp_path, capsys):
+    runs, qrels = corpus
+    bad_runs = tmp_path / "huge-rank.txt"
+    bad_runs.write_text(RUNS + f"q1 0 d9 {'7' * 5000} 0.1 s1\n")
+    assert main(["--runs", str(bad_runs), "--qrels", str(qrels), "--depth", "10"]) == 1
+    line = _single_error_line(capsys.readouterr().err)
+    assert len(line.encode()) < 200
+    assert line == (f"error: huge-rank.txt: line 5: rank is not an integer: '{'7' * 40}'"
+                     "… (5000 characters)")
+    bad_qrels = tmp_path / "huge-grade.txt"
+    bad_qrels.write_text(f"q1 0 d1 2{'x' * 300}\n")
+    assert main(["--runs", str(runs), "--qrels", str(bad_qrels), "--depth", "10"]) == 1
+    line = _single_error_line(capsys.readouterr().err)
+    assert line == (f"error: huge-grade.txt: line 1: grade is not an integer: '2{'x' * 39}'"
+                    "… (301 characters)")
+
+
 def _late_non_utf8() -> bytes:
     """A run file whose first byte that is not UTF-8 comes after the first 64 KiB."""
     head = RUNS + "".join(f"q2 0 d{r} {r} 0.5 s1\n" for r in range(1, 4001))

@@ -476,3 +476,100 @@ def test_every_layout_loads_as_the_entries_that_made_it(tmp_path, monkeypatch):
             canonical.write_text("".join(line + "\n" for line in _run_lines(entries)))
             assert _report(path, qrels, tmp_path / f"layout{case}.json") == _report(
                 canonical, qrels, tmp_path / f"canonical{case}.json"), case
+
+
+# The one-split tokenizer against the entries each text holds, at every chunk size
+
+_E1, _E2 = RunEntry("q1", "d1", 1, 0.9, "s1"), RunEntry("q1", "d2", 2, 0.8, "s1")
+_LONG_DOC = "d" * 70_000  # longer than every chunk size below
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        # Whitespace that str.split splits on but that ends no line of a text file.
+        ("q1\x0b0 d1\x0c1 0.9\x1cs1\nq1\x850 d2 2\u20280.8 s1\n", [_E1, _E2]),
+        ("q1 0 \x00 1 0.9 s1\nq1 0 d2 2 0.8 s1\n",
+         [RunEntry("q1", "\x00", 1, 0.9, "s1"), _E2]),
+        ("q1 0 d#1 1 0.9 s1\nq1 0 d2 2 0.8 s1\n",
+         [RunEntry("q1", "d#1", 1, 0.9, "s1"), _E2]),
+        ("q1 0 d1 1 0.9 s1\n \t \nq1 0 d2 2 0.8 s1\n", [_E1, _E2]),  # whitespace-only line
+        ("q1 0 d1 1 0.9 s1\nq1 0 d2 2 0.8 s1", [_E1, _E2]),  # no final newline
+        (f"q1 0 d1 1 0.9 s1\nq1 0 {_LONG_DOC} 2 0.8 s1\n",
+         [_E1, RunEntry("q1", _LONG_DOC, 2, 0.8, "s1")]),
+        ("q1 0 d1 1 0.9 s1\rq1 0 d2 2 0.8 s1\r", [_E1, _E2]),  # CR
+        ("q1 0 d1 1 0.9 s1\r\nq1 0 d2 2 0.8 s1\r\n", [_E1, _E2]),  # CRLF
+        # Field counts that add up to 6 a line over the text, but not on each line.
+        ("q1 0 d1 1 0.9 s1\nq1 0 d2 2 0.8\nq1 0 d3 3 0.7 s1 x\n",
+         "line 2: expected 6 whitespace-separated fields, got 5"),
+        # 14 tokens whose every seventh converts: only the NUL positions tell the lines apart.
+        ("q1 0 d1 1 0.9\nx q1 0 d2 1 0.8 s1\n",
+         "line 1: expected 6 whitespace-separated fields, got 5"),
+        ("q1 0 d1 1 0.9\x85s1 x\n", "line 1: expected 6 whitespace-separated fields, got 7"),
+        ("q1 0 d1 1 0.9\n\x00 q1 0 d2 1 0.8 s1\n",  # a NUL token where a newline's would be
+         "line 1: expected 6 whitespace-separated fields, got 5"),
+        ("q1 0 d#1 1 0.9 s1\nq1 0 d2 2\n", "line 2: expected 6 whitespace-separated fields, got 4"),
+        (f"q1 0 d1 1 0.9 s1\nq1 0 {_LONG_DOC} 2 0.8\n",
+         "line 2: expected 6 whitespace-separated fields, got 5"),
+        ("q1 0 d1 1 0.9 s1\r\nq1 0 d2 x 0.8 s1\r\n", "line 2: rank is not an integer: 'x'"),
+    ],
+    ids=["whitespace", "nul_doc", "hash_doc", "blank", "no_final_newline", "long_line", "cr",
+         "crlf", "five_then_seven", "five_then_seven_aligned", "next_line_char",
+         "nul_then_seven", "hash_then_short", "long_short", "crlf_bad_rank"],
+)
+@pytest.mark.parametrize("chunk_chars", [1, 7, 40, 333, 1 << 16])
+def test_tokenizer_edges_at_every_chunk_size(tmp_path, monkeypatch, text, expected, chunk_chars):
+    """Valid text loads as the entries that made it; invalid text fails with the message of
+    its first bad line."""
+    path = tmp_path / "runs.txt"
+    path.write_bytes(text.encode())
+    monkeypatch.setattr(corpus_io, "_CHUNK_CHARS", chunk_chars)
+    if isinstance(expected, list):
+        assert load_runs(path) == RunSet(expected)
+        return
+    with pytest.raises(ParseError) as info:
+        load_runs(path)
+    assert str(info.value) == f"runs.txt: {expected}"
+
+
+def test_ranking_among_keeps_only_those_documents():
+    rng = random.Random(11)
+    runs = RunSet(_random_entries(rng))
+    for system in runs.systems():
+        for query in runs.queries() + ["no-such-query"]:
+            full = runs.ranking(system, query)
+            for depth in (None, 1, 5, 100):
+                ranked = runs.ranking(system, query, depth)
+                # Documents ranked beyond the depth, ranked within it, and never retrieved.
+                among = set(rng.sample(sorted(full), min(6, len(full)))) | {"d-missing"}
+                assert runs.ranking(system, query, depth, among=among) == {
+                    d: r for d, r in ranked.items() if d in among}
+                assert runs.ranking(system, query, depth, among=set()) == {}
+
+
+def test_judgment_lookups_equal_a_full_scan():
+    rng = random.Random(12)
+    for _ in range(50):
+        grades = {(f"q{rng.randrange(5)}", f"d{rng.randrange(40)}"): rng.choice(list(Relevance))
+                  for _ in range(rng.randrange(120))}
+        js = JudgmentSet(grades)
+        text = "".join(f"{q} 0 {d} {2 - list(Relevance).index(g)}\n"
+                       for (q, d), g in grades.items())
+        assert parse_judgments(io.StringIO(text)) == js
+        for query in [f"q{i}" for i in range(6)]:
+            for partial in (False, True):
+                wanted = {Relevance.RELEVANT, Relevance.PARTIALLY_RELEVANT} if partial else {
+                    Relevance.RELEVANT}
+                assert js.relevant_docs(query, partial) == {
+                    d for (q, d), g in grades.items() if q == query and g in wanted}
+            for doc in [f"d{i}" for i in range(41)]:
+                assert js.grade(query, doc) is grades.get((query, doc))
+        assert list(js.items()) == [(q, d, grades[(q, d)]) for q, d in sorted(grades)]
+        assert len(js) == len(grades)
+        assert js.queries() == sorted({q for q, _ in grades})
+        assert js == JudgmentSet(dict(reversed(grades.items())))
+        if grades:
+            key = rng.choice(sorted(grades))
+            other = next(g for g in Relevance if g is not grades[key])
+            assert js != JudgmentSet({**grades, key: other})
+            assert js != JudgmentSet({k: g for k, g in grades.items() if k != key})
