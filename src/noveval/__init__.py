@@ -21,11 +21,10 @@ from .errors import (
     ValidationError,
 )
 from .harness import (
-    LeaveOneOutPlan,
+    LeaveOneOut,
     PerQueryDiffMatrix,
     RankingRow,
     RankingTable,
-    SystemQueryResult,
     aggregate,
     per_query_diffs,
     run_leave_one_out,

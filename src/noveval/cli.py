@@ -22,7 +22,6 @@ from . import corpus_io
 from .corpus_io import Relevance
 from .errors import NovevalError, ValidationError
 from .harness import (
-    LeaveOneOutPlan,
     PerQueryDiffMatrix,
     RankingTable,
     aggregate,
@@ -266,11 +265,8 @@ def _run_eval(argv: list[str]) -> int:
     grade_map = _parse_grade_map(args.grade_map)
     runs = corpus_io.load_runs(args.runs, strict_scores=args.strict_scores)
     judgments = corpus_io.load_judgments(args.qrels, grade_map)
-    plan = LeaveOneOutPlan(
-        systems=tuple(runs.systems()), queries=tuple(runs.queries()), config=config
-    )
-    results = run_leave_one_out(runs, judgments, plan)
-    table = aggregate(results, scheme=args.agg)
+    scores = run_leave_one_out(runs, judgments, config)
+    table = aggregate(scores, scheme=args.agg)
     metadata = {
         "config": config.to_dict() | {"agg": args.agg},
         "inputs": {
@@ -278,7 +274,7 @@ def _run_eval(argv: list[str]) -> int:
             "qrels": _digest(Path(args.qrels)),
         },
     }
-    matrix = per_query_diffs(results) if args.per_query else None
+    matrix = per_query_diffs(scores) if args.per_query else None
     _write_output(render_ranking(table, args.format, metadata, matrix), args.out)
     return 0
 

@@ -161,7 +161,7 @@ def _checked(
     """
     groups: _RunColumns = {}
     for key, segs in segments.items():
-        what = f"system {key[0]!r}, query {key[1]!r}"
+        what = f"system {_echo(key[0])}, query {_echo(key[1])}"
         sources = list(dict.fromkeys(seg.source for seg in segs))
         where = "" if names is None else ", ".join(names[s] for s in sources) + ": "
         lines_known = segs[0].line is not None
@@ -173,7 +173,7 @@ def _checked(
                 line = _joined([range(seg.line, seg.line + len(seg.docs)) for seg in own])[at]
                 named = "" if names is None else f"{names[source]}: "
                 raise ValidationError(
-                    f"{named}duplicate document {docs[at]!r} for {what} (line {line})"
+                    f"{named}duplicate document {_echo(docs[at])} for {what} (line {line})"
                 )
         firsts = accumulate((len(seg.docs) for seg in segs), initial=1)
         if all(seg.ranks == range(r, r + len(seg.docs)) for seg, r in zip(segs, firsts)):
@@ -184,7 +184,9 @@ def _checked(
             for docs, scores, ranks, _, _ in segs:
                 for rank, doc, score in zip(ranks, docs, scores):
                     if rank in by_rank:
-                        raise ValidationError(f"{where}duplicate rank {rank} for {what}")
+                        raise ValidationError(
+                            f"{where}duplicate rank {_echo(str(rank), str)} for {what}"
+                        )
                     by_rank[rank] = doc, score
             n = len(by_rank)
             missing = sorted(set(range(1, n + 1)).difference(by_rank))
@@ -196,7 +198,7 @@ def _checked(
         if len(sources) > 1 or not lines_known:  # else checked within its one input
             at = _first_repeat(docs)
             if at is not None:
-                raise ValidationError(f"{where}duplicate document {docs[at]!r} for {what}")
+                raise ValidationError(f"{where}duplicate document {_echo(docs[at])} for {what}")
         if strict_scores:
             rank = next(compress(count(1), map(operator.lt, scores, scores[1:])), None)
             if rank is not None:
@@ -420,7 +422,7 @@ def parse_judgments(stream: IO[str], grade_map: Mapping[int, Relevance] | None =
         grades = judgments._by_query.setdefault(query, {})
         if grades.get(doc, grade) is not grade:
             raise ValidationError(
-                f"conflicting grades for query {query!r}, doc {doc!r} (line {lineno})"
+                f"conflicting grades for query {_echo(query)}, doc {_echo(doc)} (line {lineno})"
             )
         grades[doc] = grade
     return judgments

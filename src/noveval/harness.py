@@ -1,75 +1,66 @@
 """Leave-one-out evaluation over all systems and queries.
 
 Each system takes a turn as the system under evaluation while the remaining
-systems form the pool of "existing systems". Results are aggregated into a
-ranking table (utility vs. average precision, with rank differences) and an
-optional per-query rank-difference matrix.
+systems form the pool of "existing systems". `run_leave_one_out` evaluates
+every system of the runs on every query of the runs into one `LeaveOneOut`
+table: per query, the utility and AP of each system. The ranking table
+(utility vs. average precision, with rank differences) and the optional
+per-query rank-difference matrix are read from its columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 from .corpus_io import JudgmentSet, RunSet
 from .errors import ConfigError, ValidationError
-from .metrics import EvalConfig, QueryTable, UtilityScore, average_precision, total_utility
+from .metrics import EvalConfig, QueryTable, average_precision, total_utility
 
 
 @dataclass(frozen=True)
-class LeaveOneOutPlan:
-    """Which systems and queries to evaluate, and with what configuration."""
+class LeaveOneOut:
+    """Per-query leave-one-out scores of every system.
+
+    utility[q][i] and ap[q][i] belong to systems[i] on query q; AP is None on
+    a query with no relevant document.
+    """
 
     systems: tuple[str, ...]
     queries: tuple[str, ...]
-    config: EvalConfig = field(default_factory=EvalConfig)
+    utility: dict[str, tuple[float, ...]]
+    ap: dict[str, tuple[float | None, ...]]
 
     def __post_init__(self):
-        if len(self.systems) < 2:
-            raise ConfigError("leave-one-out requires >= 2 systems")
-        if len(set(self.systems)) != len(self.systems):
-            raise ConfigError("system list contains duplicates")
-        if len(self.queries) < 1:
-            raise ConfigError("at least one query is required")
-        if len(set(self.queries)) != len(self.queries):
-            raise ConfigError("query list contains duplicates")
+        m = len(self.systems)
+        cells = {(len(self.utility.get(q, ())), len(self.ap.get(q, ()))) for q in self.queries}
+        if cells != {(m, m)}:  # also when there is no query
+            raise ValidationError(f"leave-one-out table of {m} systems is incomplete")
+
+    def ap_defined(self) -> list[str]:
+        """The queries where AP is defined for every system."""
+        return [q for q in self.queries if None not in self.ap[q]]
 
 
-@dataclass(frozen=True)
-class SystemQueryResult:
-    """One leave-one-out trial: system x on one query against the pool of the rest."""
-
-    system: str
-    query: str
-    utility: UtilityScore
-    ap: float | None
-
-
-def run_leave_one_out(
-    runs: RunSet, judgments: JudgmentSet, plan: LeaveOneOutPlan
-) -> list[SystemQueryResult]:
-    """Evaluate every (system, query) cell; output ordered by system then query.
+def run_leave_one_out(runs: RunSet, judgments: JudgmentSet, config: EvalConfig) -> LeaveOneOut:
+    """Evaluate every system of `runs` on every query of `runs`.
 
     Each cell reads the pool of the other systems from its query's `QueryTable`.
     """
-    cfg = plan.config
-    present = set(runs.systems())
-    for system in plan.systems:
-        if system not in present:
-            raise ConfigError(f"system {system!r} is not present in the runs")
-    systems = sorted(plan.systems)
-    tables: dict[str, QueryTable] = {}
-    relevant: dict[str, set[str]] = {}
-    for query in sorted(plan.queries):
-        relevant[query] = judgments.relevant_docs(query, cfg.partial_relevant_counts)
-        rankings = [runs.ranking(s, query, cfg.depth_n, among=relevant[query]) for s in systems]
-        tables[query] = QueryTable(rankings, relevant[query], cfg.depth_n)
-    results: list[SystemQueryResult] = []
-    for i, system in enumerate(systems):
-        for query, table in tables.items():
-            utility = total_utility(table[i], table.pool_without(i), relevant[query], cfg)
-            ap = average_precision(table[i], relevant[query])
-            results.append(SystemQueryResult(system=system, query=query, utility=utility, ap=ap))
-    return results
+    systems = tuple(runs.systems())
+    if len(systems) < 2:
+        raise ConfigError("leave-one-out requires >= 2 systems")
+    utility, ap = {}, {}
+    for query in runs.queries():
+        relevant = judgments.relevant_docs(query, config.partial_relevant_counts)
+        rankings = [runs.ranking(s, query, config.depth_n, among=relevant) for s in systems]
+        table = QueryTable(rankings, relevant, config.depth_n)
+        utility[query] = tuple(
+            total_utility(table[i], table.pool_without(i), relevant, config).total
+            for i in range(len(systems))
+        )
+        ap[query] = tuple(average_precision(ranks, relevant) for ranks in table)
+    return LeaveOneOut(systems, tuple(utility), utility, ap)
 
 
 def tie_break(scores: list[tuple[str, float]]) -> dict[str, int]:
@@ -107,53 +98,38 @@ class RankingTable:
         return sorted(self.rows, key=lambda row: row.utility_rank)
 
 
-def _grid(
-    results: list[SystemQueryResult],
-) -> tuple[list[str], list[str], dict[tuple[str, str], SystemQueryResult], list[str]]:
-    """Check that `results` fill the (system, query) grid exactly once.
-
-    Returns the sorted systems and queries, the results by (system, query),
-    and the queries where AP is defined for every system.
-    """
-    systems = sorted({r.system for r in results})
-    queries = sorted({r.query for r in results})
-    by_cell = {(r.system, r.query): r for r in results}
-    missing = [(s, q) for s in systems for q in queries if (s, q) not in by_cell]
-    if missing or len(results) != len(systems) * len(queries):
-        raise ValidationError(f"result grid is incomplete; missing cells: {missing[:10]}")
-    defined = [q for q in queries if all(by_cell[(s, q)].ap is not None for s in systems)]
-    return systems, queries, by_cell, defined
-
-
-def aggregate(results: list[SystemQueryResult], scheme: str = "sum") -> RankingTable:
+def aggregate(scores: LeaveOneOut, scheme: str = "sum") -> RankingTable:
     """Aggregate per-query scores across queries and assign both rankings.
 
     Utility uses `scheme` (sum by default; mean yields the same ordering when
     every query is defined). AP is the mean over the queries where it is
     defined (mean average precision); queries with no relevant documents are
-    excluded from it for every system symmetrically.
+    excluded from it for every system symmetrically. Each sum is rounded once
+    (`math.fsum`), so no score depends on the order of the queries.
     """
     if scheme not in ("sum", "mean"):
         raise ConfigError(f"unknown aggregation scheme: {scheme!r}")
-    systems, queries, by_cell, defined = _grid(results)
-    utility_scores = {s: sum(by_cell[(s, q)].utility.total for q in queries) for s in systems}
+    systems, queries, defined = scores.systems, scores.queries, scores.ap_defined()
+    utility_scores = [
+        math.fsum(scores.utility[q][i] for q in queries) for i in range(len(systems))
+    ]
     if scheme == "mean":
-        utility_scores = {s: u / len(queries) for s, u in utility_scores.items()}
-    ap_scores = {
-        s: sum(by_cell[(s, q)].ap for q in defined) / len(defined) if defined else 0.0
-        for s in systems
-    }
-    utility_ranks = tie_break(sorted(utility_scores.items()))
-    ap_ranks = tie_break(sorted(ap_scores.items()))
+        utility_scores = [u / len(queries) for u in utility_scores]
+    ap_scores = [
+        math.fsum(scores.ap[q][i] for q in defined) / len(defined) if defined else 0.0
+        for i in range(len(systems))
+    ]
+    utility_ranks = tie_break(list(zip(systems, utility_scores)))
+    ap_ranks = tie_break(list(zip(systems, ap_scores)))
     rows = tuple(
         RankingRow(
             system=s,
-            ap_score=ap_scores[s],
-            utility_score=utility_scores[s],
+            ap_score=ap,
+            utility_score=utility,
             ap_rank=ap_ranks[s],
             utility_rank=utility_ranks[s],
         )
-        for s in systems
+        for s, ap, utility in zip(systems, ap_scores, utility_scores)
     )
     return RankingTable(rows=rows)
 
@@ -170,13 +146,13 @@ class PerQueryDiffMatrix:
     diffs: dict[tuple[str, str], int]
 
 
-def per_query_diffs(results: list[SystemQueryResult]) -> PerQueryDiffMatrix:
+def per_query_diffs(scores: LeaveOneOut) -> PerQueryDiffMatrix:
     """Rank systems per query by AP and by utility independently; cell = rank gap."""
-    systems, _, by_cell, defined = _grid(results)
+    systems, defined = scores.systems, scores.ap_defined()
     diffs: dict[tuple[str, str], int] = {}
     for q in defined:
-        ap_ranks = tie_break([(s, by_cell[(s, q)].ap) for s in systems])
-        utility_ranks = tie_break([(s, by_cell[(s, q)].utility.total) for s in systems])
+        ap_ranks = tie_break(list(zip(systems, scores.ap[q])))
+        utility_ranks = tie_break(list(zip(systems, scores.utility[q])))
         for s in systems:
             diffs[(s, q)] = ap_ranks[s] - utility_ranks[s]
-    return PerQueryDiffMatrix(systems=tuple(systems), queries=tuple(defined), diffs=diffs)
+    return PerQueryDiffMatrix(systems=systems, queries=tuple(defined), diffs=diffs)

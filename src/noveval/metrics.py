@@ -146,7 +146,7 @@ def total_utility(
     relevant_docs: set[str],
     config: EvalConfig,
 ) -> UtilityScore:
-    """Sum of per-document utilities over the relevant set (docs in sorted order).
+    """Sum of per-document utilities over the relevant set, rounded once (`math.fsum`).
 
     Per document, x holds c = N - r + 1 (0 if missed) and the pool holds
     t = sum of N - r_y + 1, so p_sys = c/N and p_pool = t/(N|pool|), each
@@ -166,14 +166,11 @@ def total_utility(
     pool_floor = config.pool_floor(len(pool)).as_integer_ratio()
     log = config.log
     per_doc: dict[str, float] = {}
-    total = 0.0
     for doc, c, t in zip(docs, _numerators(assignment_x, docs, n), pool.totals):
         sys_num, sys_den = (c, n) if c else sys_floor
         pool_num, pool_den = (t, n_pool) if t else pool_floor
-        u = log(sys_num * pool_den / (sys_den * pool_num))
-        per_doc[doc] = u
-        total += u
-    return UtilityScore(per_doc=per_doc, total=total)
+        per_doc[doc] = log(sys_num * pool_den / (sys_den * pool_num))
+    return UtilityScore(per_doc=per_doc, total=math.fsum(per_doc.values()))
 
 
 def average_precision(assignment_x: RankAssignment, relevant_docs: set[str]) -> float | None:

@@ -13,7 +13,6 @@ import pytest
 from noveval import (
     EvalConfig,
     JudgmentSet,
-    LeaveOneOutPlan,
     RankingRow,
     RankingTable,
     Relevance,
@@ -43,12 +42,7 @@ def _evaluate(runs, judgments, depth, log_base=None):
     kwargs = {"depth_n": depth}
     if log_base is not None:
         kwargs["log_base"] = log_base
-    plan = LeaveOneOutPlan(
-        systems=tuple(runs.systems()),
-        queries=tuple(runs.queries()),
-        config=EvalConfig(**kwargs),
-    )
-    return run_leave_one_out(runs, judgments, plan)
+    return run_leave_one_out(runs, judgments, EvalConfig(**kwargs))
 
 
 def test_read_probability_exhaustive_oracle_equivalence():
@@ -97,8 +91,9 @@ def test_harness_matches_bruteforce_oracle():
     for _ in range(1000):
         runs, judgments, depth, systems = _random_instance(rng)
         x = rng.choice(systems)
-        results = _evaluate(runs, judgments, depth)
-        harness_total = sum(r.utility.total for r in results if r.system == x)
+        scores = _evaluate(runs, judgments, depth)
+        i = scores.systems.index(x)
+        harness_total = sum(scores.utility[q][i] for q in scores.queries)
         oracle_total = oracle_utility(runs, judgments, x, EvalConfig(depth_n=depth)).total
         assert abs(harness_total - oracle_total) <= 1e-12
     assert time.monotonic() - start < 10.0
@@ -118,8 +113,8 @@ def test_self_pool_zero():
             seed=seed,
         )
         runs, judgments = generate(spec)
-        results = _evaluate(runs, judgments, spec.depth_n)
-        assert all(r.utility.total == 0.0 for r in results)
+        scores = _evaluate(runs, judgments, spec.depth_n)
+        assert all(u == 0.0 for q in scores.queries for u in scores.utility[q])
     _passed("self-pool zero (shared_fraction=1, exact zeros)")
 
 
@@ -192,12 +187,12 @@ def test_permutation_integrity():
     rng = random.Random(7)
     for _ in range(25):
         runs, judgments, depth, _ = _random_instance(rng)
-        results = _evaluate(runs, judgments, depth)
+        scores = _evaluate(runs, judgments, depth)
         m = len(runs.systems())
-        table = aggregate(results)
+        table = aggregate(scores)
         assert sorted(r.ap_rank for r in table.rows) == list(range(1, m + 1))
         assert sorted(r.utility_rank for r in table.rows) == list(range(1, m + 1))
-        matrix = per_query_diffs(results)
+        matrix = per_query_diffs(scores)
         for q in matrix.queries:
             assert sum(matrix.diffs[(s, q)] for s in matrix.systems) == 0
     _passed("permutation integrity (random corpora)")
@@ -271,10 +266,11 @@ def test_log_base_ranking_invariance():
         runs, judgments = generate(spec)
         orderings = []
         for base in (math.e, 2.0, 10.0):
-            results = _evaluate(runs, judgments, spec.depth_n, log_base=base)
+            scores = _evaluate(runs, judgments, spec.depth_n, log_base=base)
             totals = {}
-            for r in results:
-                totals[r.system] = totals.get(r.system, 0.0) + r.utility.total
+            for q in scores.queries:
+                for system, u in zip(scores.systems, scores.utility[q]):
+                    totals[system] = totals.get(system, 0.0) + u
             ranks = tie_break(sorted(totals.items()))
             orderings.append(tuple(sorted(ranks, key=ranks.get)))
         assert orderings[0] == orderings[1] == orderings[2]

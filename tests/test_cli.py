@@ -400,6 +400,56 @@ def test_long_tokens_are_cut_in_error_messages(corpus, tmp_path, capsys):
                     "… (301 characters)")
 
 
+LONG = "x" * 5000
+CUT = f"'{'x' * 40}'… (5000 characters)"
+
+
+@pytest.mark.parametrize(
+    "runs,qrels,options,expected",
+    [
+        pytest.param(f"q1 0 {LONG} 1 0.9 s1\nq1 0 {LONG} 2 0.8 s1\n", QRELS, [],
+                     f"runs.txt: duplicate document {CUT} for system 's1', query 'q1' (line 2)",
+                     id="duplicate_document"),
+        pytest.param({"a.txt": f"q1 0 {LONG} 1 0.9 s1\n", "b.txt": f"q1 0 {LONG} 2 0.8 s1\n"},
+                     QRELS, [], f"a.txt, b.txt: duplicate document {CUT} for system 's1', "
+                     "query 'q1'", id="duplicate_document_across_files"),
+        pytest.param(f"q1 0 d1 1 0.9 {LONG}\nq1 0 d2 1 0.8 {LONG}\n", QRELS, [],
+                     f"runs.txt: duplicate rank 1 for system {CUT}, query 'q1'",
+                     id="duplicate_rank"),
+        pytest.param(f"q1 0 d1 {'7' * 4000} 0.9 s1\nq1 0 d2 {'7' * 4000} 0.8 s1\n", QRELS, [],
+                     f"runs.txt: duplicate rank {'7' * 40}… (4000 characters) for system 's1', "
+                     "query 'q1'", id="duplicate_huge_rank"),
+        pytest.param(f"{LONG} 0 d1 1 0.9 s1\n{LONG} 0 d2 3 0.8 s1\n", QRELS, [],
+                     f"runs.txt: ranks for system 's1', query {CUT} are not contiguous 1..2 "
+                     "(missing [2])", id="gap"),
+        pytest.param(f"q1 0 d1 1 0.1 {LONG}\nq1 0 d2 2 0.9 {LONG}\n", QRELS, ["--strict-scores"],
+                     f"runs.txt: score increases from rank 1 to 2 for system {CUT}, query 'q1' "
+                     "(strict mode)", id="strict_score"),
+        pytest.param(RUNS, f"q1 0 {LONG} 2\nq1 0 {LONG} 0\n", [],
+                     f"qrels.txt: conflicting grades for query 'q1', doc {CUT} (line 2)",
+                     id="qrels_conflict"),
+        pytest.param(f"q1 0 {'y' * 40} 1 0.9 s1\nq1 0 {'y' * 40} 2 0.8 s1\n", QRELS, [],
+                     f"runs.txt: duplicate document '{'y' * 40}' for system 's1', query 'q1' "
+                     "(line 2)", id="forty_characters_kept"),
+    ],
+)
+def test_long_ids_are_cut_in_error_messages(tmp_path, capsys, runs, qrels, options, expected):
+    if isinstance(runs, dict):
+        path = tmp_path / "runs"
+        path.mkdir()
+        for name, text in runs.items():
+            (path / name).write_text(text)
+    else:
+        path = tmp_path / "runs.txt"
+        path.write_text(runs)
+    (tmp_path / "qrels.txt").write_text(qrels)
+    argv = ["--runs", str(path), "--qrels", str(tmp_path / "qrels.txt"), "--depth", "10"]
+    assert main(argv + options) == 1
+    line = _single_error_line(capsys.readouterr().err)
+    assert len(line.encode()) < 200
+    assert line == "error: " + expected
+
+
 def _late_non_utf8() -> bytes:
     """A run file whose first byte that is not UTF-8 comes after the first 64 KiB."""
     head = RUNS + "".join(f"q2 0 d{r} {r} 0.5 s1\n" for r in range(1, 4001))

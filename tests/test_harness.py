@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import random
@@ -7,9 +8,12 @@ import pytest
 
 from noveval import (
     EvalConfig,
-    LeaveOneOutPlan,
+    JudgmentSet,
+    LeaveOneOut,
     RankingRow,
     RankingTable,
+    RunEntry,
+    RunSet,
     aggregate,
     parse_judgments,
     parse_run_file,
@@ -25,12 +29,9 @@ def _corpus(lines: str, qrels: str):
     return parse_run_file(io.StringIO(lines)), parse_judgments(io.StringIO(qrels))
 
 
-def _plan(runs, depth=10):
-    return LeaveOneOutPlan(
-        systems=tuple(runs.systems()),
-        queries=tuple(runs.queries()),
-        config=EvalConfig(depth_n=depth),
-    )
+def _cells(scores, column="utility"):
+    """Every (system, query) cell of one column of a `LeaveOneOut` table."""
+    return [value for q in scores.queries for value in getattr(scores, column)[q]]
 
 
 IDENTICAL_TWINS = """\
@@ -43,8 +44,8 @@ q1 0 d2 2 0.8 s2
 
 def test_identical_systems_score_zero():
     runs, js = _corpus(IDENTICAL_TWINS, "q1 0 d1 2\nq1 0 d2 2\n")
-    results = run_leave_one_out(runs, js, _plan(runs))
-    assert all(r.utility.total == 0.0 for r in results)
+    scores = run_leave_one_out(runs, js, EvalConfig(depth_n=10))
+    assert _cells(scores) == [0.0, 0.0]
 
 
 def test_result_grid_shape_and_order():
@@ -56,45 +57,32 @@ def test_result_grid_shape_and_order():
     )
     qrels = "q1 0 d11 2\nq2 0 d21 2\n"
     runs, js = _corpus(lines, qrels)
-    results = run_leave_one_out(runs, js, _plan(runs))
-    assert len(results) == 6
-    assert [(r.system, r.query) for r in results] == [
-        ("s1", "q1"), ("s1", "q2"), ("s2", "q1"), ("s2", "q2"),
-        ("s3", "q1"), ("s3", "q2"),
-    ]
-
-
-def test_missing_system_is_config_error():
-    runs, js = _corpus(IDENTICAL_TWINS, "q1 0 d1 2\n")
-    plan = LeaveOneOutPlan(systems=("s1", "ghost"), queries=("q1",), config=EvalConfig())
-    with pytest.raises(ConfigError, match="ghost"):
-        run_leave_one_out(runs, js, plan)
+    scores = run_leave_one_out(runs, js, EvalConfig(depth_n=10))
+    assert scores.systems == ("s1", "s2", "s3")
+    assert scores.queries == ("q1", "q2")
+    for column in (scores.utility, scores.ap):
+        assert list(column) == ["q1", "q2"]
+        assert all(len(cells) == 3 for cells in column.values())
 
 
 def test_zero_relevant_query_flagged():
     runs, js = _corpus(IDENTICAL_TWINS, "q1 0 d9 0\n")
-    results = run_leave_one_out(runs, js, _plan(runs))
-    assert all(r.ap is None for r in results)
+    scores = run_leave_one_out(runs, js, EvalConfig(depth_n=10))
+    assert _cells(scores, "ap") == [None, None]
     assert js.relevant_docs("q1") == set()
-    assert all(r.utility.total == 0.0 for r in results)
+    assert _cells(scores) == [0.0, 0.0]
 
 
 def test_plan_requires_two_systems():
+    runs, js = _corpus("q1 0 d1 1 0.9 only\n", "q1 0 d1 2\n")
     with pytest.raises(ConfigError, match="2 systems"):
-        LeaveOneOutPlan(systems=("only",), queries=("q1",), config=EvalConfig())
-
-
-def test_plan_rejects_duplicates():
-    with pytest.raises(ConfigError):
-        LeaveOneOutPlan(systems=("a", "a"), queries=("q",), config=EvalConfig())
-    with pytest.raises(ConfigError):
-        LeaveOneOutPlan(systems=("a", "b"), queries=("q", "q"), config=EvalConfig())
+        run_leave_one_out(runs, js, EvalConfig())
 
 
 def test_determinism():
     runs, js = _corpus(IDENTICAL_TWINS, "q1 0 d1 2\nq1 0 d2 1\n")
-    first = run_leave_one_out(runs, js, _plan(runs))
-    second = run_leave_one_out(runs, js, _plan(runs))
+    first = run_leave_one_out(runs, js, EvalConfig(depth_n=10))
+    second = run_leave_one_out(runs, js, EvalConfig(depth_n=10))
     assert first == second
 
 
@@ -110,34 +98,34 @@ class TestTieBreak:
 
 
 class TestAggregate:
-    def _results(self):
+    def _scores(self):
         lines = (
             "q1 0 d1 1 0.9 s1\nq1 0 d2 2 0.8 s1\n"
             "q1 0 d2 1 0.9 s2\nq1 0 d3 2 0.8 s2\n"
         )
         runs, js = _corpus(lines, "q1 0 d1 2\nq1 0 d2 2\n")
-        return run_leave_one_out(runs, js, _plan(runs))
+        return run_leave_one_out(runs, js, EvalConfig(depth_n=10))
 
     def test_best_system_has_both_top_ranks(self):
-        table = aggregate(self._results())
+        table = aggregate(self._scores())
         best = next(r for r in table.rows if r.system == "s1")
         assert best.ap_rank == 1
         assert best.utility_rank == 1
         assert best.difference == 0
 
     def test_difference_column_sums_to_zero(self):
-        table = aggregate(self._results())
+        table = aggregate(self._scores())
         assert sum(r.difference for r in table.rows) == 0
 
     def test_rank_columns_are_permutations(self):
-        table = aggregate(self._results())
+        table = aggregate(self._scores())
         m = len(table.rows)
         assert sorted(r.ap_rank for r in table.rows) == list(range(1, m + 1))
         assert sorted(r.utility_rank for r in table.rows) == list(range(1, m + 1))
 
     def test_sum_and_mean_schemes_agree_on_ranking(self):
-        by_sum = aggregate(self._results(), scheme="sum")
-        by_mean = aggregate(self._results(), scheme="mean")
+        by_sum = aggregate(self._scores(), scheme="sum")
+        by_mean = aggregate(self._scores(), scheme="mean")
         ranks_sum = {r.system: r.utility_rank for r in by_sum.rows}
         ranks_mean = {r.system: r.utility_rank for r in by_mean.rows}
         assert ranks_sum == ranks_mean
@@ -148,13 +136,18 @@ class TestAggregate:
             "q1 0 d1 1 0.9 s2\nq2 0 d1 1 0.9 s2\n"
         )
         runs, js = _corpus(lines, "q1 0 d1 2\nq2 0 d1 2\n")
-        results = run_leave_one_out(runs, js, _plan(runs))
+        scores = run_leave_one_out(runs, js, EvalConfig(depth_n=10))
+        short = dict(scores.utility, q2=scores.utility["q2"][:-1])
         with pytest.raises(ValidationError, match="incomplete"):
-            aggregate(results[:-1])
+            LeaveOneOut(scores.systems, scores.queries, short, scores.ap)
+        with pytest.raises(ValidationError, match="incomplete"):
+            LeaveOneOut(scores.systems, scores.queries, {"q1": scores.utility["q1"]}, scores.ap)
+        with pytest.raises(ValidationError, match="incomplete"):
+            LeaveOneOut(scores.systems, (), {}, {})
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ConfigError):
-            aggregate(self._results(), scheme="median")
+            aggregate(self._scores(), scheme="median")
 
 
 def test_table_fixture_differences():
@@ -185,24 +178,18 @@ def test_ranking_table_rejects_non_permutation():
 class TestPerQueryDiffs:
     def test_identical_systems_all_zero(self):
         runs, js = _corpus(IDENTICAL_TWINS, "q1 0 d1 2\n")
-        matrix = per_query_diffs(run_leave_one_out(runs, js, _plan(runs)))
+        matrix = per_query_diffs(run_leave_one_out(runs, js, EvalConfig(depth_n=10)))
         assert all(v == 0 for v in matrix.diffs.values())
 
     def test_reversed_orders(self):
         # AP order (A,B,C) vs utility order (C,B,A) -> diffs A:-2 B:0 C:+2
-        from noveval import SystemQueryResult, UtilityScore
-
-        ap = {"A": 0.9, "B": 0.5, "C": 0.1}
-        utility = {"A": -1.0, "B": 0.0, "C": 1.0}
-        results = [
-            SystemQueryResult(
-                system=s, query="q",
-                utility=UtilityScore(per_doc={}, total=utility[s]),
-                ap=ap[s],
-            )
-            for s in ("A", "B", "C")
-        ]
-        matrix = per_query_diffs(results)
+        scores = LeaveOneOut(
+            systems=("A", "B", "C"),
+            queries=("q",),
+            utility={"q": (-1.0, 0.0, 1.0)},
+            ap={"q": (0.9, 0.5, 0.1)},
+        )
+        matrix = per_query_diffs(scores)
         assert matrix.diffs[("A", "q")] == -2
         assert matrix.diffs[("B", "q")] == 0
         assert matrix.diffs[("C", "q")] == 2
@@ -216,13 +203,13 @@ class TestPerQueryDiffs:
         )
         qrels = "".join(f"q{q} 0 d{s}{q}1 2\n" for s in (1, 2, 3) for q in (1, 2))
         runs, js = _corpus(lines, qrels)
-        matrix = per_query_diffs(run_leave_one_out(runs, js, _plan(runs)))
+        matrix = per_query_diffs(run_leave_one_out(runs, js, EvalConfig(depth_n=10)))
         for q in matrix.queries:
             assert sum(matrix.diffs[(s, q)] for s in matrix.systems) == 0
 
     def test_undefined_queries_omitted(self):
         runs, js = _corpus(IDENTICAL_TWINS, "q1 0 d9 0\n")
-        matrix = per_query_diffs(run_leave_one_out(runs, js, _plan(runs)))
+        matrix = per_query_diffs(run_leave_one_out(runs, js, EvalConfig(depth_n=10)))
         assert matrix.queries == ()
 
 
@@ -250,11 +237,11 @@ def _full_sort_ap(assignment, relevant):
     return float(acc / len(relevant))
 
 
-def _random_corpus(rng: random.Random):
+def _random_corpus(rng: random.Random, num_systems: int | None = None):
     """Runs and graded qrels with clones, systems that miss every judged document,
     unjudged documents and runs longer than the evaluation depth."""
     universe = [f"d{i}" for i in range(rng.randint(1, 14))]
-    systems = [f"s{i}" for i in range(rng.randint(2, 7))]
+    systems = [f"s{i}" for i in range(num_systems or rng.randint(2, 7))]
     lines, qrels = [], []
     for q in range(rng.randint(1, 3)):
         query = f"q{q}"
@@ -276,38 +263,121 @@ def _random_corpus(rng: random.Random):
     return _corpus("".join(lines), "".join(qrels))
 
 
+EPSILONS = [None, None, 0.5, 0.125, 0.1, 1 / 3, 1e-3]
+
+
+def _random_config(rng: random.Random) -> EvalConfig:
+    return EvalConfig(
+        depth_n=rng.randint(1, 12),
+        partial_relevant_counts=rng.random() < 0.5,
+        log_base=rng.choice([math.e, 2.0, 10.0]),
+        epsilon_custom=rng.choice(EPSILONS),
+    )
+
+
 def test_table_cells_equal_plain_pool_and_full_sort_ap():
     """Every cell read from the per-query table equals a plain-list pool and
-    the full-sort AP, with ==; reordering plan.systems changes nothing."""
+    the full-sort AP, with ==."""
     rng = random.Random(20260)
-    epsilons = [None, None, 0.5, 0.125, 0.1, 1 / 3, 1e-3]
     cases = {(hit, pooled): 0 for hit in (False, True) for pooled in (False, True)}
     seen = set()
     for _ in range(400):
         runs, js = _random_corpus(rng)
-        cfg = EvalConfig(
-            depth_n=rng.randint(1, 12),
-            partial_relevant_counts=rng.random() < 0.5,
-            log_base=rng.choice([math.e, 2.0, 10.0]),
-            epsilon_custom=rng.choice(epsilons),
-        )
+        cfg = _random_config(rng)
         systems = runs.systems()
-        plan = LeaveOneOutPlan(tuple(systems), tuple(runs.queries()), cfg)
-        results = run_leave_one_out(runs, js, plan)
-        for r in results:
-            x = runs.ranking(r.system, r.query, cfg.depth_n)
-            pool = [runs.ranking(y, r.query, cfg.depth_n) for y in systems if y != r.system]
-            relevant = js.relevant_docs(r.query, cfg.partial_relevant_counts)
-            expected = total_utility(x, pool, relevant, cfg)
-            assert r.utility.per_doc == expected.per_doc
-            assert r.utility.total == expected.total
-            assert r.ap == _full_sort_ap(x, relevant)
-            for doc in relevant:
-                cases[(doc in x, any(doc in ranks for ranks in pool))] += 1
+        scores = run_leave_one_out(runs, js, cfg)
+        assert scores.systems == tuple(systems)
+        assert scores.queries == tuple(runs.queries())
+        for query in scores.queries:
+            relevant = js.relevant_docs(query, cfg.partial_relevant_counts)
+            for i, system in enumerate(systems):
+                x = runs.ranking(system, query, cfg.depth_n)
+                pool = [runs.ranking(y, query, cfg.depth_n) for y in systems if y != system]
+                assert scores.utility[query][i] == total_utility(x, pool, relevant, cfg).total
+                assert scores.ap[query][i] == _full_sort_ap(x, relevant)
+                for doc in relevant:
+                    cases[(doc in x, any(doc in ranks for ranks in pool))] += 1
         seen.add(cfg.epsilon_custom)
-        shuffled = list(systems)
-        rng.shuffle(shuffled)
-        permuted = LeaveOneOutPlan(tuple(shuffled), plan.queries, cfg)
-        assert run_leave_one_out(runs, js, permuted) == results
     assert min(cases.values()) >= 100, cases
-    assert seen == set(epsilons)
+    assert seen == set(EPSILONS)
+
+
+def _renamed(runs: RunSet, js: JudgmentSet, docs: dict, queries: dict):
+    entries = [RunEntry(queries[e.query], docs[e.doc], e.rank, e.score, e.system)
+               for e in runs.entries()]
+    return RunSet(entries), JudgmentSet({(queries[q], docs[d]): g for q, d, g in js.items()})
+
+
+def _reversing(ids) -> dict[str, str]:
+    """New names for `ids` whose sort order is the reverse of theirs."""
+    ordered = sorted(ids)
+    return {old: f"z{len(ordered) - i:03d}" for i, old in enumerate(ordered)}
+
+
+def test_sums_do_not_depend_on_id_order():
+    """Renaming documents and queries so that their sort order reverses leaves
+    every leave-one-out total and every ranking-table score identical (==)."""
+    rng = random.Random(1616)
+    for _ in range(300):
+        runs, js = _random_corpus(rng)
+        cfg = _random_config(rng)
+        docs = _reversing({e.doc for e in runs.entries()} | {d for _, d, _ in js.items()})
+        queries = _reversing(set(runs.queries()) | set(js.queries()))
+        scores = run_leave_one_out(runs, js, cfg)
+        renamed = run_leave_one_out(*_renamed(runs, js, docs, queries), cfg)
+        assert renamed.systems == scores.systems
+        for q in scores.queries:
+            assert renamed.utility[queries[q]] == scores.utility[q]
+            assert renamed.ap[queries[q]] == scores.ap[q]
+        for scheme in ("sum", "mean"):
+            assert set(aggregate(renamed, scheme).rows) == set(aggregate(scores, scheme).rows)
+
+
+def test_two_systems_have_opposite_utilities():
+    """With M = 2 each system's pool is the other one, so u(x) = -u(y)."""
+    rng = random.Random(2)
+    for _ in range(300):
+        runs, js = _random_corpus(rng, num_systems=2)
+        for epsilon in (None, rng.choice(EPSILONS[2:])):
+            cfg = dataclasses.replace(_random_config(rng), epsilon_custom=epsilon)
+            scores = run_leave_one_out(runs, js, cfg)
+            for q in scores.queries:
+                x, y = scores.utility[q]
+                assert abs(x + y) <= 1e-12
+
+
+def test_clone_pools_give_zero():
+    """Systems with identical runs score exactly 0. Under the default floors a
+    relevant document no clone retrieves scores log(M - 1), so there every
+    relevant document is retrieved within the depth."""
+    rng = random.Random(3)
+    universe = [f"d{i}" for i in range(14)]
+    for _ in range(300):
+        cfg = _random_config(rng)
+        systems = range(rng.randint(2, 6))
+        lines, qrels = [], []
+        for q in range(rng.randint(1, 3)):
+            docs = rng.sample(universe, rng.randint(1, len(universe)))
+            judged = docs[: cfg.depth_n] if cfg.epsilon_custom is None else universe
+            qrels += [f"q{q} 0 {d} {rng.choice((0, 1, 2))}\n"
+                      for d in rng.sample(judged, rng.randint(0, len(judged)))]
+            lines += [f"q{q} 0 {d} {r} {1 / r} s{s}\n"
+                      for s in systems for r, d in enumerate(docs, start=1)]
+        scores = run_leave_one_out(*_corpus("".join(lines), "".join(qrels)), cfg)
+        assert set(_cells(scores)) <= {0.0}
+
+
+def test_adding_a_system_leaves_other_ap_unchanged():
+    rng = random.Random(4)
+    universe = [f"d{i}" for i in range(14)] + [f"n{i}" for i in range(6)]
+    for _ in range(300):
+        runs, js = _random_corpus(rng)
+        cfg = _random_config(rng)
+        added = [RunEntry(q, doc, rank, 1 / rank, "added")  # "q3" is a new query
+                 for q in ("q0", "q1", "q3")
+                 for rank, doc in enumerate(rng.sample(universe, rng.randint(1, 12)), start=1)]
+        before = run_leave_one_out(runs, js, cfg)
+        after = run_leave_one_out(RunSet([*runs.entries(), *added]), js, cfg)
+        assert after.systems == ("added", *before.systems)
+        for q in before.queries:
+            assert after.ap[q][1:] == before.ap[q]

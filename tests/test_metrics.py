@@ -198,10 +198,7 @@ def test_integer_kernel_bit_identical_to_fraction_path():
         expected = {doc: _fraction_utility(x, pool, doc, cfg) for doc in relevant}
         score = total_utility(x, pool, relevant, cfg)
         assert score.per_doc == expected
-        total = 0.0
-        for doc in sorted(relevant):
-            total += expected[doc]
-        assert score.total == total
+        assert score.total == math.fsum(expected.values())
         for doc in relevant:
             cases[(doc in x, any(doc in ranks for ranks in pool))] += 1
         seen.add((cfg.epsilon_custom, cfg.log_base))

@@ -2,7 +2,6 @@ import pytest
 
 from noveval import (
     EvalConfig,
-    LeaveOneOutPlan,
     RunEntry,
     RunSet,
     JudgmentSet,
@@ -65,13 +64,8 @@ def test_every_relevant_doc_is_retrieved_somewhere():
 def test_full_overlap_yields_zero_utilities():
     spec = _spec(shared_fraction=1.0, unique_per_system=0)
     runs, judgments = generate(spec)
-    plan = LeaveOneOutPlan(
-        systems=tuple(runs.systems()),
-        queries=tuple(runs.queries()),
-        config=EvalConfig(depth_n=spec.depth_n),
-    )
-    results = run_leave_one_out(runs, judgments, plan)
-    assert all(r.utility.total == 0.0 for r in results)
+    scores = run_leave_one_out(runs, judgments, EvalConfig(depth_n=spec.depth_n))
+    assert all(u == 0.0 for q in scores.queries for u in scores.utility[q])
 
 
 def test_designated_system_dominates():
@@ -83,14 +77,9 @@ def test_designated_system_dominates():
         designated_system=1,
     )
     runs, judgments = generate(spec)
-    plan = LeaveOneOutPlan(
-        systems=tuple(runs.systems()),
-        queries=tuple(runs.queries()),
-        config=EvalConfig(depth_n=spec.depth_n),
-    )
-    results = run_leave_one_out(runs, judgments, plan)
+    scores = run_leave_one_out(runs, judgments, EvalConfig(depth_n=spec.depth_n))
     for query in runs.queries():
-        per_query = {r.system: r.utility.total for r in results if r.query == query}
+        per_query = dict(zip(scores.systems, scores.utility[query]))
         designated = per_query.pop("sys01")
         assert all(designated > v for v in per_query.values())
 

@@ -3,15 +3,18 @@
 `perfbench/tracer.py` wraps public functions where their callers look them up
 (its `WRAPPED` table) and reports a missing one as absent, which silently drops
 that per-layer metric from a traced benchmark run. These tests turn a renamed
-or removed wrap target, or one the CLI no longer calls, into a test failure.
+or removed wrap target, or one the CLI no longer calls, into a test failure,
+and check that the harness calls each metric once per (system, query) cell.
 """
 
 import functools
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 from noveval.cli import main
+from noveval.corpus_io import load_runs
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -40,12 +43,12 @@ def test_every_wrapped_name_resolves_to_a_callable():
 
 
 def test_every_wrapped_span_is_recorded_by_synth_and_eval(tmp_path, monkeypatch, capsys):
-    recorded = set()
+    recorded = Counter()
 
     def wrap(fn, span):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            recorded.add(span)
+            recorded[span] += 1
             return fn(*args, **kwargs)
 
         return wrapper
@@ -62,3 +65,9 @@ def test_every_wrapped_span_is_recorded_by_synth_and_eval(tmp_path, monkeypatch,
     spans = [span for _, _, span in wrapped]
     assert len(spans) == 14
     assert [span for span in spans if span not in recorded] == []
+    # One call per (system, query) cell, so a traced run reports
+    # metrics.total_utility.calls equal to harness.cells.
+    runs = load_runs(corpus / "runs.txt")
+    cells = len(runs.systems()) * len(runs.queries())
+    assert cells == 12
+    assert recorded["metrics.total_utility"] == recorded["metrics.average_precision"] == cells
