@@ -17,8 +17,9 @@ A `RunSet` stores each (system, query) group as two columns in rank order:
 document ids and scores. One reader takes every run input, each file of
 `load_runs` and the stream of `parse_run_file`: it splits chunks of whole lines
 with one `str.split` each (a NUL token per newline proves 6 fields a line),
-converts the columns and cuts the rows into (system, query) segments. One
-group check, which `RunSet(entries)` shares, joins each group's segments and
+converts the columns and cuts each chunk on its own into (system, query)
+segments, at rank-1 rows and key changes. One group check, which
+`RunSet(entries)` shares, is the only place that joins a group's segments; it
 decides what is valid and what every error says. `RunSet.ranking` can map only
 given (judged-relevant) documents; `JudgmentSet` indexes its grades by query.
 
@@ -88,7 +89,7 @@ class RunSet:
         rows = [(e.query, e.doc, e.rank, e.score, e.system) for e in entries]
         segments: _Segments = {}
         if rows:
-            _cut(segments, [list(column) for column in zip(*rows)], 0, len(rows), 0, None)
+            _cut(segments, [list(column) for column in zip(*rows)], 0, None)
         self._groups = _checked(segments, strict_scores)
 
     @classmethod
@@ -128,24 +129,28 @@ class RunSet:
         return sum(len(docs) for docs, _ in self._groups.values())
 
 
-def _cut(segments: _Segments, columns: list, start: int, stop: int, source: int,
-         line: int | None) -> None:
-    """Add rows start..stop of the columns (queries, docs, ranks, scores, systems) to
-    `segments`, one segment per run of one key; `line` is the line number of row 0."""
+def _cut(segments: _Segments, columns: Sequence, source: int, first: int | None) -> None:
+    """Add the rows of the columns (queries, docs, ranks, scores, systems) to `segments`,
+    cut at each rank 1 and then at each change of key; `first` is the line number of row 0."""
     queries, docs, ranks, scores, systems = columns
-    bounds = [start]
-    n = stop - start
-    if queries[start:stop].count(queries[start]) == systems[start:stop].count(systems[start]) == n:
-        bounds.append(stop)
-    else:
-        for _, run in groupby(zip(systems[start:stop], queries[start:stop])):
-            bounds.append(bounds[-1] + len(list(run)))
+    bounds = [0]
+    while bounds[-1] < len(ranks):  # rows a..b run from one rank 1 to the next
+        a = bounds[-1]
+        try:
+            b = ranks.index(1, a + 1)
+        except ValueError:
+            b = len(ranks)
+        if queries[a:b].count(queries[a]) == systems[a:b].count(systems[a]) == b - a:
+            bounds.append(b)
+        else:
+            for _, run in groupby(zip(systems[a:b], queries[a:b])):
+                bounds.append(bounds[-1] + len(list(run)))
     for a, b in zip(bounds, bounds[1:]):
         counting = range(ranks[a], ranks[a] + b - a)
         segments.setdefault((systems[a], queries[a]), []).append(_Segment(
             tuple(docs[a:b]), tuple(scores[a:b]),
             counting if ranks[a:b] == list(counting) else tuple(ranks[a:b]),
-            source, None if line is None else line + a))
+            source, None if first is None else first + a))
 
 
 def _checked(
@@ -153,39 +158,44 @@ def _checked(
 ) -> _RunColumns:
     """Join each group's segments into (docs, scores) columns in rank order.
 
-    Segments whose ranks chain 1..n are joined as they are, others merged by
-    rank. Groups are checked in first-appearance order, each for: a document
-    twice in one input (named by the line of its second copy), a duplicate
-    rank, a gap, a document twice across inputs or entries, and in strict
-    mode a score that rises. Errors start with the `names` of its inputs.
+    This is the one place where a group's segments are joined; it pops them
+    from `segments` as it goes, so no group is held twice. Segments whose
+    ranks chain 1..n are joined as they are, others merged by rank. Groups are
+    checked in first-appearance order, each for: a document twice in one input
+    (named by the line of its second copy), a duplicate rank (with that line,
+    when the group lies in one input), a gap, a document twice across inputs
+    or entries, and in strict mode a score that rises. Errors start with the
+    `names` of its inputs.
     """
     groups: _RunColumns = {}
-    for key, segs in segments.items():
+    for key in list(segments):
+        segs = segments.pop(key)
         what = f"system {_echo(key[0])}, query {_echo(key[1])}"
         sources = list(dict.fromkeys(seg.source for seg in segs))
         where = "" if names is None else ", ".join(names[s] for s in sources) + ": "
         lines_known = segs[0].line is not None
+        docs = _joined([seg.docs for seg in segs])  # in input order
         for source in sources if lines_known else ():  # a document twice in one input
             own = [seg for seg in segs if seg.source == source]
-            docs = _joined([seg.docs for seg in own])
-            at = _first_repeat(docs)
+            own_docs = docs if len(sources) == 1 else _joined([seg.docs for seg in own])
+            at = _first_repeat(own_docs)
             if at is not None:
                 line = _joined([range(seg.line, seg.line + len(seg.docs)) for seg in own])[at]
                 named = "" if names is None else f"{names[source]}: "
                 raise ValidationError(
-                    f"{named}duplicate document {_echo(docs[at])} for {what} (line {line})"
+                    f"{named}duplicate document {_echo(own_docs[at])} for {what} (line {line})"
                 )
         firsts = accumulate((len(seg.docs) for seg in segs), initial=1)
         if all(seg.ranks == range(r, r + len(seg.docs)) for seg, r in zip(segs, firsts)):
-            docs = _joined([seg.docs for seg in segs])
             scores = _joined([seg.scores for seg in segs])
         else:
             by_rank: dict[int, tuple[str, float]] = {}
-            for docs, scores, ranks, _, _ in segs:
-                for rank, doc, score in zip(ranks, docs, scores):
+            for docs, scores, ranks, _, line in segs:
+                for i, rank, doc, score in zip(count(), ranks, docs, scores):
                     if rank in by_rank:
+                        at_line = f" (line {line + i})" if lines_known and len(sources) == 1 else ""
                         raise ValidationError(
-                            f"{where}duplicate rank {_echo(str(rank), str)} for {what}"
+                            f"{where}duplicate rank {_echo(str(rank), str)} for {what}{at_line}"
                         )
                     by_rank[rank] = doc, score
             n = len(by_rank)
@@ -302,15 +312,11 @@ _CHUNK_CHARS = 1 << 16
 def _read_runs(stream: IO[str], segments: _Segments, source: int) -> None:
     """Read one run input into `segments`, in chunks cut after the last newline of a read.
 
-    Rows are cut into segments at each rank 1. The rows after the last rank 1
-    are held back, since their group may continue in the next chunk, so a
-    group whose lines come in rank order arrives whole; a skipped line ends
-    the held rows. A chunk with a line that does not convert is read again
-    line by line, for the error of its first such line.
+    Each chunk is cut on its own; only the partial last line carries over to the
+    next, and `_checked` joins a group's segments. A chunk with a line that does
+    not convert is read again line by line, for the error of its first such line.
     """
-    columns: list[list] = [[], [], [], [], []]  # queries, docs, ranks, scores, systems
-    ranks = columns[2]
-    line = lineno = 1  # line numbers of the first held row and of the chunk's first line
+    lineno = 1  # the line number of the chunk's first line
     tail = ""  # the text after the last newline read
     # The reads, then a "\n" to end a last line that has none (else it reads as a blank line).
     for read in chain(iter(lambda: stream.read(_CHUNK_CHARS), ""), ["\n"]):
@@ -325,28 +331,7 @@ def _read_runs(stream: IO[str], segments: _Segments, source: int) -> None:
             _raise_first_fault(text.split("\n"), lineno)
         lineno += text.count("\n")
         for first, piece in pieces:
-            if first != line + len(ranks):  # a skipped line ends the held rows
-                if ranks:
-                    _cut(segments, columns, 0, len(ranks), source, line)
-                for column in columns:
-                    column.clear()
-                line = first
-            held = len(ranks)
-            for column, new in zip(columns, piece):
-                column += new
-            start = 0
-            while True:
-                try:  # held rows have no rank 1 after their first
-                    stop = ranks.index(1, max(start + 1, held))
-                except ValueError:
-                    break
-                _cut(segments, columns, start, stop, source, line)
-                start = stop
-            for column in columns:
-                del column[:start]
-            line += start
-    if ranks:
-        _cut(segments, columns, 0, len(ranks), source, line)
+            _cut(segments, piece, source, first)
 
 
 def _pieces(text: str, lineno: int) -> list[tuple[int, list]]:

@@ -414,11 +414,11 @@ CUT = f"'{'x' * 40}'… (5000 characters)"
                      QRELS, [], f"a.txt, b.txt: duplicate document {CUT} for system 's1', "
                      "query 'q1'", id="duplicate_document_across_files"),
         pytest.param(f"q1 0 d1 1 0.9 {LONG}\nq1 0 d2 1 0.8 {LONG}\n", QRELS, [],
-                     f"runs.txt: duplicate rank 1 for system {CUT}, query 'q1'",
+                     f"runs.txt: duplicate rank 1 for system {CUT}, query 'q1' (line 2)",
                      id="duplicate_rank"),
         pytest.param(f"q1 0 d1 {'7' * 4000} 0.9 s1\nq1 0 d2 {'7' * 4000} 0.8 s1\n", QRELS, [],
                      f"runs.txt: duplicate rank {'7' * 40}… (4000 characters) for system 's1', "
-                     "query 'q1'", id="duplicate_huge_rank"),
+                     "query 'q1' (line 2)", id="duplicate_huge_rank"),
         pytest.param(f"{LONG} 0 d1 1 0.9 s1\n{LONG} 0 d2 3 0.8 s1\n", QRELS, [],
                      f"runs.txt: ranks for system 's1', query {CUT} are not contiguous 1..2 "
                      "(missing [2])", id="gap"),
@@ -457,23 +457,40 @@ def _late_non_utf8() -> bytes:
     return head.encode() + b"q2 0 d\xff 4001 0.1 s1\n"
 
 
+def _late_non_utf8_qrels() -> bytes:
+    """A qrels file whose first byte that is not UTF-8 comes after the first 64 KiB."""
+    head = QRELS + "".join(f"q2 0 d{i} 1\n" for i in range(1, 8001))
+    assert len(head) > 1 << 16
+    return head.encode() + b"q2 0 d\xff 1\n"
+
+
 @pytest.mark.parametrize(
-    "content,code",
+    "which,content,code",
     [
-        pytest.param(RUNS.replace("d3", "d\x003").encode(), 0, id="nul_in_token"),
-        pytest.param((RUNS + f"q1 0 d9 {'7' * 5000} 0.1 s1\n").encode(), 1, id="huge_rank"),
-        pytest.param(RUNS.replace("0.8 s1", "inf s1").encode(), 1, id="inf_score"),
-        pytest.param(RUNS.replace("0.8 s1", "nan s1").encode(), 1, id="nan_score"),
-        pytest.param(b"\xef\xbb\xbf", 1, id="bom_only"),
-        pytest.param(b"", 1, id="empty"),
-        pytest.param(RUNS.replace("\n", "\r\n").encode(), 0, id="crlf"),
-        pytest.param(_late_non_utf8(), 1, id="late_non_utf8"),
-        pytest.param(None, 0, id="directory"),
+        pytest.param("runs", RUNS.replace("d3", "d\x003").encode(), 0, id="nul_in_token"),
+        pytest.param("runs", (RUNS + f"q1 0 d9 {'7' * 5000} 0.1 s1\n").encode(), 1,
+                     id="huge_rank"),
+        pytest.param("runs", RUNS.replace("0.8 s1", "inf s1").encode(), 1, id="inf_score"),
+        pytest.param("runs", RUNS.replace("0.8 s1", "nan s1").encode(), 1, id="nan_score"),
+        pytest.param("runs", b"\xef\xbb\xbf", 1, id="bom_only"),
+        pytest.param("runs", b"", 1, id="empty"),
+        pytest.param("runs", RUNS.replace("\n", "\r\n").encode(), 0, id="crlf"),
+        pytest.param("runs", _late_non_utf8(), 1, id="late_non_utf8"),
+        pytest.param("runs", None, 0, id="directory"),
+        pytest.param("qrels", QRELS.replace("d2", "d\x002").encode(), 0, id="qrels_nul_in_doc"),
+        pytest.param("qrels", (QRELS + f"q1 0 d9 {'7' * 5000}\n").encode(), 1,
+                     id="qrels_huge_grade"),
+        pytest.param("qrels", b"\xef\xbb\xbf", 0, id="qrels_bom_only"),
+        pytest.param("qrels", _late_non_utf8_qrels(), 1, id="qrels_late_non_utf8"),
+        pytest.param("qrels", (QRELS + "q1 0 d3").encode(), 1, id="qrels_cut_after_doc"),
+        pytest.param("qrels", QRELS.rstrip("\n").encode(), 0, id="qrels_no_final_newline"),
     ],
 )
-def test_odd_run_inputs_end_without_traceback(tmp_path, capsys, content, code):
+def test_odd_run_inputs_end_without_traceback(tmp_path, capsys, which, content, code):
+    """`content` is the bytes of the run file or, by `which`, of the qrels file."""
     qrels = tmp_path / "qrels.txt"
-    qrels.write_text(QRELS)
+    runs = tmp_path / "runs.txt"
+    qrels.write_bytes(content if which == "qrels" else QRELS.encode())
     if content is None:
         # A runs directory holding a sub-directory and a dangling symlink besides its files.
         runs = tmp_path / "runs"
@@ -482,8 +499,7 @@ def test_odd_run_inputs_end_without_traceback(tmp_path, capsys, content, code):
         (runs / "dangling.txt").symlink_to(tmp_path / "missing.txt")
         (runs / "s1.txt").write_text(RUNS)
     else:
-        runs = tmp_path / "runs.txt"
-        runs.write_bytes(content)
+        runs.write_bytes(content if which == "runs" else RUNS.encode())
     assert main(["--runs", str(runs), "--qrels", str(qrels), "--depth", "10"]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err

@@ -331,11 +331,18 @@ def test_groups_straddling_chunk_boundaries(tmp_path, monkeypatch, chunk_chars):
     runs = load_runs(path)
     assert runs == reference
     assert list(runs.entries()) == list(reference.entries())
-    # A group in rank order arrives whole, as one segment, however the chunks cut it.
+    # Each chunk is cut on its own, so a group in rank order may arrive in several
+    # segments; each one's ranks continue the previous one's, so they join without the
+    # by-rank merge.
     segments = {}
     with open(path) as fh:
         corpus_io._read_runs(fh, segments, 0)
-    assert [len(segs) for segs in segments.values()] == [1] * 12
+    assert len(segments) == 12
+    for segs in segments.values():
+        r = 1
+        for seg in segs:
+            assert seg.ranks == range(r, r + len(seg.docs))
+            r += len(seg.docs)
 
 
 def test_strict_scores_fast_path(tmp_path):
@@ -383,7 +390,7 @@ def test_valid_edge_files_load_as_the_line_parser_reads_them(tmp_path, text):
         ("q1 0 d1 1 0.9 s1\nq1 0 d2 0 0.8 s1\n", ParseError,
          "runs.txt: line 2: rank must be >= 1, got 0"),
         ("q1 0 d1 1 0.9 s1\nq1 0 d2 1 0.8 s1\n", ValidationError,
-         "runs.txt: duplicate rank 1 for system 's1', query 'q1'"),
+         "runs.txt: duplicate rank 1 for system 's1', query 'q1' (line 2)"),
         # One line repeated verbatim: its document, not its rank, is reported.
         ("q1 0 d1 1 0.9 s1\nq1 0 d1 1 0.9 s1\n", ValidationError,
          "runs.txt: duplicate document 'd1' for system 's1', query 'q1' (line 2)"),
@@ -397,6 +404,9 @@ def test_valid_edge_files_load_as_the_line_parser_reads_them(tmp_path, text):
         # Entries come from no file: the message names neither file nor line.
         ([RunEntry("q1", "d1", 1, 0.9, "s1"), RunEntry("q1", "d1", 2, 0.8, "s1")],
          ValidationError, "duplicate document 'd1' for system 's1', query 'q1'"),
+        # A duplicate rank names no line when its group spans two files.
+        ({"a.txt": "q1 0 d1 1 0.9 s1\n", "b.txt": "q1 0 d2 1 0.8 s1\n"},
+         ValidationError, "a.txt, b.txt: duplicate rank 1 for system 's1', query 'q1'"),
     ],
 )
 def test_invalid_files_fail_as_the_line_parser_says(tmp_path, text, error, message):
@@ -529,6 +539,40 @@ def test_tokenizer_edges_at_every_chunk_size(tmp_path, monkeypatch, text, expect
         return
     with pytest.raises(ParseError) as info:
         load_runs(path)
+    assert str(info.value) == f"runs.txt: {expected}"
+
+
+_GROUP = "for system 's1', query 'q1'"
+
+
+@pytest.mark.parametrize(
+    "text,strict,expected",
+    [
+        ("q1 0 d1 1 0.9 s1\n# c\nq2 0 d1 1 0.9 s1\nq1 0 d2 2 0.8 s1\nq1 0 d1 3 0.7 s1\n", False,
+         f"duplicate document 'd1' {_GROUP} (line 5)"),
+        ("q1 0 d1 1 0.9 s1\nq1 0 d2 2 0.8 s1\n\nq1 0 d3 2 0.7 s1\n", False,
+         f"duplicate rank 2 {_GROUP} (line 4)"),
+        ("q1 0 d1 1 0.9 s1\nq1 0 d2 2 0.8 s1\nq1 0 d3 4 0.7 s1\n", False,
+         f"ranks {_GROUP} are not contiguous 1..3 (missing [3])"),
+        ("q1 0 d1 1 0.9 s1\nq1 0 d2 2 0.8 s1\nq2 0 d1 1 0.9 s1\nq1 0 d1 1 0.9 s1\n"
+         "q1 0 d2 2 0.8 s1\n", False, f"duplicate document 'd1' {_GROUP} (line 4)"),
+        ("q1 0 d1 1 0.9 s1\nq1 0 d2 2 0.8 s1\nq2 0 d1 1 0.9 s1\nq1 0 d3 1 0.9 s1\n"
+         "q1 0 d4 2 0.8 s1\n", False, f"duplicate rank 1 {_GROUP} (line 4)"),
+        ("q1 0 d1 1 0.5 s1\nq1 0 d2 2 0.4 s1\nq1 0 d3 3 0.6 s1\n", True,
+         f"score increases from rank 2 to 3 {_GROUP} (strict mode)"),
+    ],
+    ids=["duplicate_document", "duplicate_rank", "rank_gap", "repeated_group",
+         "reappearing_group", "rising_score"],
+)
+@pytest.mark.parametrize("chunk_chars", [1, 7, 40, 333, 1 << 16])
+def test_group_faults_at_every_chunk_size(tmp_path, monkeypatch, text, strict, expected,
+                                          chunk_chars):
+    """A group fault gives one error, however the chunks cut the group into segments."""
+    path = tmp_path / "runs.txt"
+    path.write_text(text)
+    monkeypatch.setattr(corpus_io, "_CHUNK_CHARS", chunk_chars)
+    with pytest.raises(ValidationError) as info:
+        load_runs(path, strict_scores=strict)
     assert str(info.value) == f"runs.txt: {expected}"
 
 
