@@ -166,14 +166,13 @@ def _metadata_comments(metadata: dict | None) -> str:
     return out
 
 
-def _digest(path: Path) -> str | dict[str, str]:
-    if path.is_dir():
-        return {
-            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(path.iterdir())
-            if p.is_file()
-        }
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _sha256(path: Path) -> str:
+    """SHA-256 of a file, read in fixed-size blocks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _parse_grade_map(spec: str) -> dict[int, Relevance]:
@@ -263,15 +262,19 @@ def _run_eval(argv: list[str]) -> int:
         epsilon_custom=_parse_epsilon(args.epsilon_policy),
     )
     grade_map = _parse_grade_map(args.grade_map)
-    runs = corpus_io.load_runs(args.runs, strict_scores=args.strict_scores)
+    # The qrels come first, so that the runs keep only their judged-relevant rows.
     judgments = corpus_io.load_judgments(args.qrels, grade_map)
+    digests: dict[str, str] = {}
+    runs = corpus_io.load_runs(args.runs, strict_scores=args.strict_scores, judged=judgments,
+                               digests=digests)
     scores = run_leave_one_out(runs, judgments, config)
     table = aggregate(scores, scheme=args.agg)
+    runs_path = Path(args.runs)
     metadata = {
         "config": config.to_dict() | {"agg": args.agg},
         "inputs": {
-            "runs": _digest(Path(args.runs)),
-            "qrels": _digest(Path(args.qrels)),
+            "runs": digests if runs_path.is_dir() else digests[runs_path.name],
+            "qrels": _sha256(Path(args.qrels)),
         },
     }
     matrix = per_query_diffs(scores) if args.per_query else None

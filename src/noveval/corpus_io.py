@@ -13,15 +13,19 @@ File formats:
 Run and judgment files are read as UTF-8; a leading byte-order mark is
 dropped.
 
-A `RunSet` stores each (system, query) group as two columns in rank order:
-document ids and scores. One reader takes every run input, each file of
-`load_runs` and the stream of `parse_run_file`: it splits chunks of whole lines
-with one `str.split` each (a NUL token per newline proves 6 fields a line),
-converts the columns and cuts each chunk on its own into (system, query)
-segments, at rank-1 rows and key changes. One group check, which
-`RunSet(entries)` shares, is the only place that joins a group's segments; it
-decides what is valid and what every error says. `RunSet.ranking` can map only
-given (judged-relevant) documents; `JudgmentSet` indexes its grades by query.
+A `RunSet` stores each (system, query) group as three columns in rank order:
+document ids, ranks and scores. One reader takes every run input, each file of
+`load_runs` and the stream of `parse_run_file`: it splits a chunk of whole lines
+that is ASCII, without "#", NUL or \\x1c-\\x1f, as bytes with one `bytes.split`
+(a NUL token per newline proves 6 fields a line) and takes ranks that count up in
+plain digits by comparing tokens; any other chunk is decoded and split line by
+line. It cuts each chunk on its own into (system, query) segments, at rank-1 rows
+and key changes, and packs each segment's document ids into one string. One group
+check, which `RunSet(entries)` shares, is the only place that joins a group's
+segments; it decides what is valid and what every error says, then stores the
+whole group, or, for `load_runs(..., judged=J)`, only its rows of documents J
+grades relevant or partially relevant (every group's key stays). `JudgmentSet`
+indexes its grades by query.
 
 All parsed structures are immutable after construction and safe to share
 across threads.
@@ -29,8 +33,12 @@ across threads.
 
 from __future__ import annotations
 
+import codecs
+import hashlib
 import math
 import operator
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, chain, compress, count, groupby
@@ -58,14 +66,16 @@ class RunEntry:
     system: str
 
 
-#: (system, query) -> (document ids, scores), both in rank order.
-_RunColumns = dict[tuple[str, str], tuple[tuple[str, ...], tuple[float, ...]]]
+#: (system, query) -> (document ids, ranks, scores), all in rank order.
+_RunColumns = dict[tuple[str, str], tuple[tuple[str, ...], Sequence[int], tuple[float, ...]]]
+
+_NO_GROUP = ((), (), ())
 
 
 class _Segment(NamedTuple):
     """Rows of one (system, query) group from one input, in input order."""
-    docs: tuple[str, ...]
-    scores: tuple[float, ...]
+    docs: str | tuple[str, ...]  # " "-joined; a tuple for entries, whose ids may hold spaces
+    scores: array | tuple[float, ...]  # every row's, or only the kept rows' (see _checked)
     ranks: range | tuple[int, ...]  # a range when they count up by one
     source: int  # the input's number
     line: int | None  # of the first row (the rows are consecutive lines)
@@ -75,14 +85,22 @@ class _Segment(NamedTuple):
 _Segments = dict[tuple[str, str], list[_Segment]]
 
 
+class _Keep(NamedTuple):
+    """By query, the documents whose rows a judged read keeps, as text and as bytes."""
+    text: dict[str, frozenset[str]]
+    raw: dict[bytes, frozenset[bytes]]
+
+
 class RunSet:
     """All ranked retrieval results, grouped by (system, query).
 
     Within each (system, query) group, ranks are exactly 1..n with no gaps
     or duplicates and document ids are unique. Construction validates this;
-    instances are immutable afterward. Each group is stored as two columns
-    in rank order, a tuple of document ids and a tuple of scores; the rank
-    of a document is its position plus one.
+    instances are immutable afterward. Each group is stored as three columns
+    in rank order: document ids, ranks and scores. A whole group has ranks
+    `range(1, n + 1)`; a `RunSet` from `load_runs(..., judged=J)` holds only
+    each group's rows of documents that J grades relevant or partially
+    relevant, with their own ranks, and keeps the key of a group with none.
     """
 
     def __init__(self, entries: Iterable[RunEntry], strict_scores: bool = False):
@@ -94,7 +112,7 @@ class RunSet:
 
     @classmethod
     def _from_columns(cls, groups: _RunColumns) -> RunSet:
-        """Wrap (system, query) -> (docs, scores) columns that are already validated."""
+        """Wrap (system, query) -> (docs, ranks, scores) columns that are already validated."""
         runs = cls.__new__(cls)
         runs._groups = groups
         return runs
@@ -106,18 +124,19 @@ class RunSet:
         return sorted({q for _, q in self._groups})
 
     def entries(self) -> Iterator[RunEntry]:
-        """All entries in deterministic (system, query, rank) order."""
-        for (system, query), (docs, scores) in sorted(self._groups.items()):
-            for rank, (doc, score) in enumerate(zip(docs, scores), start=1):
+        """All entries held, in deterministic (system, query, rank) order."""
+        for (system, query), (docs, ranks, scores) in sorted(self._groups.items()):
+            for doc, rank, score in zip(docs, ranks, scores):
                 yield RunEntry(query=query, doc=doc, rank=rank, score=score, system=system)
 
     def ranking(self, system: str, query: str, depth: int | None = None, *,
                 among: set[str] | None = None) -> dict[str, int]:
         """Document -> rank map for one (system, query) to `depth`; with `among`, only its docs."""
-        docs = self._groups.get((system, query), ((), ()))[0]
+        docs, ranks, _ = self._groups.get((system, query), _NO_GROUP)
         if depth is not None:
-            docs = docs[:depth]
-        ranked = zip(docs, count(1))
+            held = bisect_right(ranks, depth)
+            docs, ranks = docs[:held], ranks[:held]
+        ranked = zip(docs, ranks)
         return dict(ranked if among is None else compress(ranked, map(among.__contains__, docs)))
 
     def __eq__(self, other: object) -> bool:
@@ -126,18 +145,25 @@ class RunSet:
         return self._groups == other._groups
 
     def __len__(self) -> int:
-        return sum(len(docs) for docs, _ in self._groups.values())
+        """The number of rows held."""
+        return sum(len(docs) for docs, _, _ in self._groups.values())
 
 
-def _cut(segments: _Segments, columns: Sequence, source: int, first: int | None) -> None:
+def _cut(segments: _Segments, columns: Sequence, source: int, first: int | None,
+         keep: _Keep | None = None) -> bool:
     """Add the rows of the columns (queries, docs, ranks, scores, systems) to `segments`,
-    cut at each rank 1 and then at each change of key; `first` is the line number of row 0."""
+    cut at each rank 1 and then at each change of key; `first` is the line number of row 0,
+    None for entries. Columns of bytes hold rank tokens: unless each segment's count up
+    from its first in plain digits ("1", "2", ...), nothing is added and the result is
+    False. With `keep`, a segment holds only the scores of rows of the kept documents."""
     queries, docs, ranks, scores, systems = columns
+    raw = isinstance(ranks[0], bytes)
+    one = b"1" if raw else 1
     bounds = [0]
     while bounds[-1] < len(ranks):  # rows a..b run from one rank 1 to the next
         a = bounds[-1]
         try:
-            b = ranks.index(1, a + 1)
+            b = ranks.index(one, a + 1)
         except ValueError:
             b = len(ranks)
         if queries[a:b].count(queries[a]) == systems[a:b].count(systems[a]) == b - a:
@@ -145,28 +171,70 @@ def _cut(segments: _Segments, columns: Sequence, source: int, first: int | None)
         else:
             for _, run in groupby(zip(systems[a:b], queries[a:b])):
                 bounds.append(bounds[-1] + len(list(run)))
+    cuts = []
     for a, b in zip(bounds, bounds[1:]):
-        counting = range(ranks[a], ranks[a] + b - a)
-        segments.setdefault((systems[a], queries[a]), []).append(_Segment(
-            tuple(docs[a:b]), tuple(scores[a:b]),
-            counting if ranks[a:b] == list(counting) else tuple(ranks[a:b]),
+        if raw:
+            r = _plain_first(ranks[a:b])
+            if r is None:
+                return False
+            cuts.append(range(r, r + b - a))
+        else:
+            counting = range(ranks[a], ranks[a] + b - a)
+            cuts.append(counting if ranks[a:b] == list(counting) else tuple(ranks[a:b]))
+    for a, b, seg_ranks in zip(bounds, bounds[1:], cuts):
+        query, system, seg_docs, seg_scores = queries[a], systems[a], docs[a:b], scores[a:b]
+        if keep is not None:
+            wanted = (keep.raw if raw else keep.text).get(query, frozenset())
+            seg_scores = compress(seg_scores, map(wanted.__contains__, seg_docs))
+        if raw:
+            query, system, packed = query.decode(), system.decode(), b" ".join(seg_docs).decode()
+        else:
+            packed = tuple(seg_docs) if first is None else " ".join(seg_docs)
+        segments.setdefault((system, query), []).append(_Segment(
+            packed, tuple(seg_scores) if first is None else array("d", seg_scores), seg_ranks,
             source, None if first is None else first + a))
+    return True
 
 
-def _checked(
-    segments: _Segments, strict_scores: bool, names: list[str] | None = None
-) -> _RunColumns:
-    """Join each group's segments into (docs, scores) columns in rank order.
+#: b"1", b"2", ...: rank tokens in plain digits. A memo of its length alone, replaced
+#: whole when deeper ranks are read, so a concurrent reader keeps a complete table.
+_PLAIN_RANKS: list[bytes] = []
+_PLAIN_DEPTH = 1 << 16
+
+
+def _plain_first(tokens: list[bytes]) -> int | None:
+    """The first rank of `tokens` if they count up from it in plain digits, else None."""
+    global _PLAIN_RANKS
+    try:
+        first = int(tokens[0])
+    except ValueError:
+        return None
+    stop = first - 1 + len(tokens)
+    if first < 1 or stop > _PLAIN_DEPTH:
+        return None
+    plain = _PLAIN_RANKS
+    if len(plain) < stop:
+        plain = _PLAIN_RANKS = [b"%d" % r for r in range(1, 1 + (1 << (stop - 1).bit_length()))]
+    return first if tokens == plain[first - 1:stop] else None
+
+
+def _checked(segments: _Segments, strict_scores: bool, names: list[str] | None = None,
+             keep: Mapping[str, frozenset[str]] | None = None) -> _RunColumns:
+    """Join each group's segments into (docs, ranks, scores) columns in rank order.
 
     This is the one place where a group's segments are joined; it pops them
-    from `segments` as it goes, so no group is held twice. Segments whose
-    ranks chain 1..n are joined as they are, others merged by rank. Groups are
-    checked in first-appearance order, each for: a document twice in one input
-    (named by the line of its second copy), a duplicate rank (with that line,
-    when the group lies in one input), a gap, a document twice across inputs
-    or entries, and in strict mode a score that rises. Errors start with the
-    `names` of its inputs.
+    from `segments` as it goes and unpacks one group's documents at a time, so
+    no group is held twice. Segments whose ranks chain 1..n are joined as they
+    are, others merged by rank. Groups are checked in first-appearance order,
+    each for: a document twice in one input (named by the line of its second
+    copy), a duplicate rank (with that line, when the group lies in one input),
+    a gap, a document twice across inputs or entries, and in strict mode a
+    score that rises. Errors start with the `names` of its inputs. A group is
+    stored whole, or with `keep` (query -> documents) only its rows of those
+    documents; the segments then hold every row's score only under
+    `strict_scores`, else only the kept rows'.
     """
+    every_score = keep is None or strict_scores
     groups: _RunColumns = {}
     for key in list(segments):
         segs = segments.pop(key)
@@ -174,37 +242,42 @@ def _checked(
         sources = list(dict.fromkeys(seg.source for seg in segs))
         where = "" if names is None else ", ".join(names[s] for s in sources) + ": "
         lines_known = segs[0].line is not None
-        docs = _joined([seg.docs for seg in segs])  # in input order
+        parts = [seg.docs.split(" ") if lines_known else seg.docs for seg in segs]
+        docs = _joined(parts)  # in input order
         for source in sources if lines_known else ():  # a document twice in one input
-            own = [seg for seg in segs if seg.source == source]
-            own_docs = docs if len(sources) == 1 else _joined([seg.docs for seg in own])
+            own = [i for i, seg in enumerate(segs) if seg.source == source]
+            own_docs = docs if len(sources) == 1 else _joined([parts[i] for i in own])
             at = _first_repeat(own_docs)
             if at is not None:
-                line = _joined([range(seg.line, seg.line + len(seg.docs)) for seg in own])[at]
+                line = _joined([range(segs[i].line, segs[i].line + len(parts[i])) for i in own])[at]
                 named = "" if names is None else f"{names[source]}: "
                 raise ValidationError(
                     f"{named}duplicate document {_echo(own_docs[at])} for {what} (line {line})"
                 )
-        firsts = accumulate((len(seg.docs) for seg in segs), initial=1)
-        if all(seg.ranks == range(r, r + len(seg.docs)) for seg, r in zip(segs, firsts)):
+        wanted = None if keep is None else keep.get(key[1], frozenset())
+        firsts = accumulate(map(len, parts), initial=1)
+        if all(seg.ranks == range(r, r + len(part)) for seg, part, r in zip(segs, parts, firsts)):
             scores = _joined([seg.scores for seg in segs])
         else:
-            by_rank: dict[int, tuple[str, float]] = {}
-            for docs, scores, ranks, _, line in segs:
-                for i, rank, doc, score in zip(count(), ranks, docs, scores):
+            by_rank: dict[int, tuple[str, float | None]] = {}
+            for part, (_, seg_scores, ranks, _, line) in zip(parts, segs):
+                seg_scores = iter(seg_scores)  # None for a row whose score is not held
+                for i, rank, doc in zip(count(), ranks, part):
                     if rank in by_rank:
                         at_line = f" (line {line + i})" if lines_known and len(sources) == 1 else ""
                         raise ValidationError(
                             f"{where}duplicate rank {_echo(str(rank), str)} for {what}{at_line}"
                         )
-                    by_rank[rank] = doc, score
+                    by_rank[rank] = doc, next(seg_scores) if every_score or doc in wanted else None
             n = len(by_rank)
             missing = sorted(set(range(1, n + 1)).difference(by_rank))
             if missing:
                 raise ValidationError(
                     f"{where}ranks for {what} are not contiguous 1..{n} (missing {missing[:5]})"
                 )
-            docs, scores = map(tuple, zip(*(by_rank[r] for r in range(1, n + 1))))
+            docs, scores = zip(*(by_rank[r] for r in range(1, n + 1)))
+            if not every_score:
+                scores = [score for score in scores if score is not None]
         if len(sources) > 1 or not lines_known:  # else checked within its one input
             at = _first_repeat(docs)
             if at is not None:
@@ -214,7 +287,13 @@ def _checked(
             if rank is not None:
                 raise ValidationError(f"{where}score increases from rank {rank} to {rank + 1} "
                                       f"for {what} (strict mode)")
-        groups[key] = docs, scores
+        ranks = range(1, len(docs) + 1)
+        if wanted is None:
+            groups[key] = tuple(docs), ranks, tuple(scores)
+        else:
+            kept = list(map(wanted.__contains__, docs))
+            groups[key] = (tuple(compress(docs, kept)), tuple(compress(ranks, kept)),
+                           tuple(compress(scores, kept) if every_score else scores))
     return groups
 
 
@@ -268,6 +347,13 @@ class JudgmentSet:
             wanted.add(Relevance.PARTIALLY_RELEVANT)
         return {d for d, g in self._by_query.get(query, {}).items() if g in wanted}
 
+    def _kept(self) -> _Keep:
+        """By query, the documents graded relevant or partially relevant."""
+        text = {q: frozenset(d for d, g in grades.items() if g is not Relevance.IRRELEVANT)
+                for q, grades in self._by_query.items()}
+        return _Keep(text, {q.encode(): frozenset(d.encode() for d in docs)
+                            for q, docs in text.items()})
+
     def items(self) -> Iterator[tuple[str, str, Relevance]]:
         for q, grades in sorted(self._by_query.items()):
             for d in sorted(grades):
@@ -301,66 +387,86 @@ def _iter_records(
 def parse_run_file(stream: IO[str], strict_scores: bool = False) -> RunSet:
     """Parse a 6-column run file; may contain any number of systems."""
     segments: _Segments = {}
-    _read_runs(stream, segments, 0)
+    _read_runs((read.encode() for read in iter(lambda: stream.read(_CHUNK_CHARS), "")),
+               segments, 0)
     return RunSet._from_columns(_checked(segments, strict_scores))
 
 
-#: Characters of run input read per chunk.
+#: Bytes of a run file (characters of a text stream) read at a time.
 _CHUNK_CHARS = 1 << 16
 
+#: Bytes that keep a chunk from the byte split: "#" and NUL, which its checks cannot
+#: tell from data, and the separators that str.split splits on and bytes.split does not.
+_OFF_SPLIT = (b"#", b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
-def _read_runs(stream: IO[str], segments: _Segments, source: int) -> None:
+
+def _read_runs(reads: Iterable[bytes], segments: _Segments, source: int,
+               keep: _Keep | None = None) -> None:
     """Read one run input into `segments`, in chunks cut after the last newline of a read.
 
     Each chunk is cut on its own; only the partial last line carries over to the
-    next, and `_checked` joins a group's segments. A chunk with a line that does
-    not convert is read again line by line, for the error of its first such line.
+    next, and `_checked` joins a group's segments. A chunk that does not split as
+    bytes with plain ranks is decoded and split line by line; one with a line that
+    does not convert is read again line by line, for the error of its first such line.
     """
     lineno = 1  # the line number of the chunk's first line
-    tail = ""  # the text after the last newline read
-    # The reads, then a "\n" to end a last line that has none (else it reads as a blank line).
-    for read in chain(iter(lambda: stream.read(_CHUNK_CHARS), ""), ["\n"]):
-        cut = read.rfind("\n") + 1
+    tail = b""  # the bytes after the last newline read
+    # The reads, then a newline to end a last line that has none (else it reads as blank).
+    for read in chain(reads, [b"\n"]):
+        cut = read.rfind(b"\n") + 1
         if not cut:
             tail += read  # a line longer than a read
             continue
         text, tail = tail + read[:cut], read[cut:]
-        try:
-            pieces = _pieces(text, lineno)
-        except ValueError:
-            _raise_first_fault(text.split("\n"), lineno)
-        lineno += text.count("\n")
-        for first, piece in pieces:
-            _cut(segments, piece, source, first)
+        lines = text.count(b"\n")
+        columns = _split(text, lines)
+        if columns is None or not _cut(segments, columns, source, lineno, keep):
+            decoded = text.decode()
+            try:
+                pieces = _rows(decoded, lineno)
+            except ValueError:
+                _raise_first_fault(decoded.split("\n"), lineno)
+            for first, piece in pieces:
+                _cut(segments, piece, source, first, keep)
+        lineno += lines
 
 
-def _pieces(text: str, lineno: int) -> list[tuple[int, list]]:
-    """(line number, columns) of each run of data lines, neither blank nor "#", in `text`;
-    ValueError on one that does not convert. A text without "#" and NUL is split once, a
-    NUL token for each of its n newlines: every line has 6 fields exactly when that gives
-    7n tokens with a NUL at every seventh. Any other text is split line by line."""
-    spans = []
-    if "#" not in text and "\x00" not in text:
-        n = text.count("\n")
-        toks = text.replace("\n", " \x00 ").split()
-        if len(toks) == 7 * n and toks[6::7].count("\x00") == n:
-            spans.append((lineno, toks[0::7], toks[2::7], toks[3::7], toks[4::7], toks[5::7]))
-    if not spans:
-        rows = list(map(str.split, text.split("\n")))
-        data = [bool(row) and not row[0].startswith("#") for row in rows]
-        ends = list(accumulate(len(list(run)) for _, run in groupby(data)))
-        for a, b in zip([0, *ends], ends):
-            if data[a]:
-                if set(map(len, rows[a:b])) != {6}:
-                    raise ValueError("a line without 6 fields")
-                queries, _, docs, ranks, scores, systems = zip(*rows[a:b])
-                spans.append((lineno + a, queries, docs, ranks, scores, systems))
+def _split(text: bytes, n: int) -> list | None:
+    """The columns (queries, docs, ranks, scores, systems) of an ASCII `text` without "#",
+    NUL or \\x1c-\\x1f whose lines all hold 6 fields and finite scores, split once as bytes
+    with a NUL token for each of its n newlines: the lines hold 6 fields exactly when that
+    gives 7n tokens with a NUL at every seventh. Scores are converted, ranks left as tokens;
+    any other text gives None."""
+    if not text.isascii() or any(map(text.__contains__, _OFF_SPLIT)):
+        return None
+    toks = text.replace(b"\n", b" \x00 ").split()
+    if len(toks) != 7 * n or toks[6::7].count(b"\x00") != n:
+        return None
+    try:
+        scores = list(map(float, toks[4::7]))
+    except ValueError:
+        return None
+    if not all(map(math.isfinite, scores)):
+        return None
+    return [toks[0::7], toks[2::7], toks[3::7], scores, toks[5::7]]
+
+
+def _rows(text: str, lineno: int) -> list[tuple[int, list]]:
+    """(line number, columns) of each run of data lines, neither blank nor "#", in `text`,
+    split line by line; ValueError on one that has not 6 fields or does not convert."""
+    rows = list(map(str.split, text.split("\n")))
+    data = [bool(row) and not row[0].startswith("#") for row in rows]
+    ends = list(accumulate(len(list(run)) for _, run in groupby(data)))
     pieces = []
-    for first, queries, docs, ranks, scores, systems in spans:
-        ranks, scores = list(map(int, ranks)), list(map(float, scores))
-        if min(ranks) < 1 or not all(map(math.isfinite, scores)):
-            raise ValueError("a rank below 1 or a score that is not finite")
-        pieces.append((first, [queries, docs, ranks, scores, systems]))
+    for a, b in zip([0, *ends], ends):
+        if data[a]:
+            if set(map(len, rows[a:b])) != {6}:
+                raise ValueError("a line without 6 fields")
+            queries, _, docs, ranks, scores, systems = zip(*rows[a:b])
+            ranks, scores = list(map(int, ranks)), list(map(float, scores))
+            if min(ranks) < 1 or not all(map(math.isfinite, scores)):
+                raise ValueError("a rank below 1 or a score that is not finite")
+            pieces.append((lineno + a, [queries, docs, ranks, scores, systems]))
     return pieces
 
 
@@ -414,15 +520,16 @@ def parse_judgments(stream: IO[str], grade_map: Mapping[int, Relevance] | None =
 
 
 def write_run_file(runs: RunSet, sink: IO[str]) -> None:
-    """Emit the 6-column format with dummy column "0" and 6-decimal scores."""
-    for (system, query), (docs, scores) in sorted(runs._groups.items()):
+    """Emit the 6-column format with dummy column "0" and 6-decimal scores; a judged
+    `RunSet` emits only the rows it holds, at their ranks."""
+    for (system, query), (docs, ranks, scores) in sorted(runs._groups.items()):
         _check_token(query, "query id")
         _check_token(system, "system id")
         for doc in docs:
             _check_token(doc, "doc id")
         sink.writelines(
             f"{query} 0 {doc} {rank} {score:.6f} {system}\n"
-            for rank, (doc, score) in enumerate(zip(docs, scores), start=1)
+            for doc, rank, score in zip(docs, ranks, scores)
         )
 
 
@@ -433,12 +540,16 @@ def write_judgments(judgments: JudgmentSet, sink: IO[str]) -> None:
         sink.write(f"{query} 0 {doc} {values[grade]}\n")
 
 
-def load_runs(path: str | Path, strict_scores: bool = False) -> RunSet:
+def load_runs(path: str | Path, strict_scores: bool = False, *,
+              judged: JudgmentSet | None = None, digests: dict[str, str] | None = None) -> RunSet:
     """Load runs from a single file or from every regular file in a directory.
 
     Each file is read once, in name order, by the run reader; a group may
     continue from one file into another. A line error names its file and
-    line; a group error names the files that hold the group.
+    line; a group error names the files that hold the group. With `judged`,
+    every group is checked whole but keeps only its rows of documents that
+    `judged` grades relevant or partially relevant. `digests`, when given,
+    receives the SHA-256 of each file's bytes by file name, hashed as read.
     """
     path = Path(path)
     if path.is_dir():
@@ -447,16 +558,42 @@ def load_runs(path: str | Path, strict_scores: bool = False) -> RunSet:
             raise ConfigError(f"runs directory {path} contains no files")
     else:
         files = [path]
+    keep = None if judged is None else judged._kept()
     segments: _Segments = {}
     for source, f in enumerate(files):
-        with open(f, "r", encoding="utf-8-sig") as fh:
+        digest = hashlib.sha256()
+        with open(f, "rb") as fh:
             try:
-                _read_runs(fh, segments, source)
+                _read_runs(_file_reads(fh, digest), segments, source,
+                           None if strict_scores else keep)
             except UnicodeDecodeError as exc:
                 raise _decode_error(f, exc) from exc
             except ParseError as exc:
                 raise ParseError(f"{f.name}: {exc}") from exc
-    return RunSet._from_columns(_checked(segments, strict_scores, [f.name for f in files]))
+        if digests is not None:
+            digests[f.name] = digest.hexdigest()
+    names = [f.name for f in files]
+    return RunSet._from_columns(
+        _checked(segments, strict_scores, names, None if keep is None else keep.text))
+
+
+def _file_reads(fh: IO[bytes], digest) -> Iterator[bytes]:
+    """The reads of a binary file, each hashed into `digest`, as a text-mode read gives
+    them: a leading UTF-8 byte-order mark dropped, CRLF and CR line ends made LF."""
+    head = fh.read(len(codecs.BOM_UTF8))
+    digest.update(head)
+    held = head.removeprefix(codecs.BOM_UTF8)  # bytes not yet given
+    for read in iter(lambda: fh.read(_CHUNK_CHARS), b""):
+        digest.update(read)
+        read, held = held + read, b""
+        if read.endswith(b"\r"):  # an LF may start the next read
+            read, held = read[:-1], b"\r"
+        yield _lf(read)
+    yield _lf(held)
+
+
+def _lf(data: bytes) -> bytes:
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
 
 
 def load_judgments(path: str | Path, grade_map: Mapping[int, Relevance] | None = None) -> JudgmentSet:
@@ -471,11 +608,12 @@ def load_judgments(path: str | Path, grade_map: Mapping[int, Relevance] | None =
 
 
 def _decode_error(path: Path, exc: UnicodeDecodeError) -> ParseError:
-    """Name the file and the first line of it that is not valid UTF-8."""
+    """Name the file and the first line of it that is not valid UTF-8, with that line's
+    reason, which a text-mode read of the file gives too."""
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
                 raw.decode("utf-8")
-            except UnicodeDecodeError:
-                return ParseError(f"{path.name}: line {lineno}: not valid UTF-8 ({exc.reason})")
+            except UnicodeDecodeError as error:
+                return ParseError(f"{path.name}: line {lineno}: not valid UTF-8 ({error.reason})")
     return ParseError(f"{path.name}: not valid UTF-8 ({exc.reason})")

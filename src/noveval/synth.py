@@ -149,7 +149,7 @@ def generate(spec: SyntheticSpec) -> tuple[RunSet, JudgmentSet]:
             docs = tuple(head + fillers + tail)
             if len(set(docs)) != len(docs):
                 raise ValidationError(f"duplicate document for system {s!r}, query {query!r}")
-            columns[(s, query)] = (docs, scores[: len(docs)])
+            columns[(s, query)] = (docs, range(1, len(docs) + 1), scores[: len(docs)])
 
     return RunSet._from_columns(columns), JudgmentSet(grades)
 

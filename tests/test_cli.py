@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from noveval import RankingRow, RankingTable, ValidationError
+from noveval import RankingRow, RankingTable, ValidationError, cli, corpus_io
 from noveval.cli import abbreviate_queries, main, render_per_query, render_ranking
 from noveval.harness import PerQueryDiffMatrix
 
@@ -505,3 +505,62 @@ def test_odd_run_inputs_end_without_traceback(tmp_path, capsys, which, content, 
     assert "Traceback" not in err
     messages = [l for l in err.splitlines() if l.startswith(("error: ", "I/O error: "))]
     assert len(messages) == (code != 0) and len(err.splitlines()) == len(messages), err
+
+
+def test_qrels_are_read_before_the_runs(tmp_path, capsys):
+    runs = tmp_path / "runs.txt"
+    runs.write_text("q1 0 d1 1 0.9 s1\nq1 0 d1 2 0.8 s1\n")
+    qrels = tmp_path / "qrels.txt"
+    qrels.write_text("q1 0 d1\n")
+    assert main(["--runs", str(runs), "--qrels", str(qrels), "--depth", "10"]) == 1
+    assert _single_error_line(capsys.readouterr().err) == (
+        "error: qrels.txt: line 1: expected 4 whitespace-separated fields, got 3")
+
+
+def test_each_run_file_is_read_once_and_hashed_as_read(tmp_path, monkeypatch, capsys):
+    runs_dir = tmp_path / "runs"
+    runs_dir.mkdir()
+    (runs_dir / "s1.txt").write_text("q1 0 d1 1 0.9 s1\nq1 0 d2 2 0.8 s1\n")
+    (runs_dir / "s2.txt").write_bytes(b"\xef\xbb\xbfq1 0 d2 1 0.9 s2\r\nq1 0 d3 2 0.8 s2\r\n")
+    qrels = tmp_path / "qrels.txt"
+    qrels.write_text(QRELS)
+    opened = []
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(Path(file).name)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(corpus_io, "open", recording_open, raising=False)
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    monkeypatch.setattr(Path, "read_bytes", None)
+    argv = ["--runs", str(runs_dir), "--qrels", str(qrels), "--depth", "10", "--format", "json"]
+    assert main(argv) == 0
+    assert sorted(opened) == ["qrels.txt", "qrels.txt", "s1.txt", "s2.txt"]
+    inputs = json.loads(capsys.readouterr().out)["metadata"]["inputs"]
+    monkeypatch.undo()
+    assert inputs == {
+        "runs": {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in runs_dir.iterdir()},
+        "qrels": hashlib.sha256(qrels.read_bytes()).hexdigest(),
+    }
+    single = tmp_path / "single.txt"
+    single.write_text(RUNS)
+    assert main(["--runs", str(single), *argv[2:]]) == 0
+    inputs = json.loads(capsys.readouterr().out)["metadata"]["inputs"]
+    assert inputs["runs"] == hashlib.sha256(single.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "tail,reason",
+    [(b"q1 0 d\xe2\x82", "unexpected end of data"),
+     (b"q1 0 d\xe2\x82 3 0.7 s1\n", "invalid continuation byte"),
+     (b"q1 0 d\xff 3 0.7 s1\n", "invalid start byte")],
+    ids=["cut_at_the_end", "cut_inside", "invalid_start"],
+)
+def test_non_utf8_run_files_name_the_line_and_reason(tmp_path, capsys, tail, reason):
+    runs = tmp_path / "runs.txt"
+    runs.write_bytes(RUNS.encode() + tail)
+    qrels = tmp_path / "qrels.txt"
+    qrels.write_text(QRELS)
+    assert main(["--runs", str(runs), "--qrels", str(qrels), "--depth", "10"]) == 1
+    assert _single_error_line(capsys.readouterr().err) == (
+        f"error: runs.txt: line 5: not valid UTF-8 ({reason})")

@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import random
+from itertools import compress, cycle
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,38 @@ from noveval import (
 from noveval import corpus_io
 from noveval.cli import main
 from noveval.errors import ConfigError
+
+
+def _judged_rows(runs: RunSet, judgments: JudgmentSet) -> RunSet:
+    """`runs` with only each group's rows of documents that `judgments` grades relevant or
+    partially relevant, as `load_runs(..., judged=judgments)` keeps them."""
+    groups = {}
+    for (system, query), (docs, ranks, scores) in runs._groups.items():
+        kept = [judgments.grade(query, doc) not in (None, Relevance.IRRELEVANT) for doc in docs]
+        groups[(system, query)] = tuple(
+            tuple(compress(column, kept)) for column in (docs, ranks, scores))
+    return RunSet._from_columns(groups)
+
+
+def _graded(entries: list[RunEntry]) -> JudgmentSet:
+    """Relevant, irrelevant and partially relevant grades in turn for the entries' documents."""
+    grades = cycle([Relevance.RELEVANT, Relevance.IRRELEVANT, Relevance.PARTIALLY_RELEVANT])
+    return JudgmentSet({(e.query, e.doc): grade for e, grade in zip(entries, grades)})
+
+
+def _load_both(path, judgments: JudgmentSet, strict_scores: bool = False) -> RunSet:
+    """Load `path` whole and judged; the judged load must keep the judged rows of the whole
+    one, or fail with the same error."""
+    try:
+        runs = load_runs(path, strict_scores)
+    except (ParseError, ValidationError) as exc:
+        with pytest.raises(type(exc)) as info:
+            load_runs(path, strict_scores, judged=judgments)
+        assert str(info.value) == str(exc)
+        raise
+    assert load_runs(path, strict_scores, judged=judgments) == _judged_rows(runs, judgments)
+    return runs
+
 
 RUN_FRAGMENT = """\
 1007 0 940228106 1 0.306856 1106
@@ -335,14 +369,14 @@ def test_groups_straddling_chunk_boundaries(tmp_path, monkeypatch, chunk_chars):
     # segments; each one's ranks continue the previous one's, so they join without the
     # by-rank merge.
     segments = {}
-    with open(path) as fh:
-        corpus_io._read_runs(fh, segments, 0)
+    with open(path, "rb") as fh:
+        corpus_io._read_runs(corpus_io._file_reads(fh, hashlib.sha256()), segments, 0)
     assert len(segments) == 12
     for segs in segments.values():
         r = 1
         for seg in segs:
-            assert seg.ranks == range(r, r + len(seg.docs))
-            r += len(seg.docs)
+            assert seg.ranks == range(r, r + len(seg.docs.split(" ")))
+            r += len(seg.ranks)
 
 
 def test_strict_scores_fast_path(tmp_path):
@@ -476,7 +510,8 @@ def test_every_layout_loads_as_the_entries_that_made_it(tmp_path, monkeypatch):
             (runs_dir / f"part{i}.txt").write_bytes(text.encode())
         path = runs_dir if len(texts) > 1 else runs_dir / "part0.txt"
         expected = RunSet(entries)
-        assert load_runs(path) == expected, (case, chunk_chars, texts)
+        judgments = _graded(random.Random(case).sample(entries, len(entries) // 2))
+        assert _load_both(path, judgments) == expected, (case, chunk_chars, texts)
         if case < 4:  # the CLI report is equal apart from the input digests
             docs = sorted({e.doc for e in entries})
             qrels = tmp_path / f"qrels{case}.txt"
@@ -522,23 +557,35 @@ _LONG_DOC = "d" * 70_000  # longer than every chunk size below
         (f"q1 0 d1 1 0.9 s1\nq1 0 {_LONG_DOC} 2 0.8\n",
          "line 2: expected 6 whitespace-separated fields, got 5"),
         ("q1 0 d1 1 0.9 s1\r\nq1 0 d2 x 0.8 s1\r\n", "line 2: rank is not an integer: 'x'"),
+        # Chunks the byte split must leave to the decoded, line-by-line path.
+        ("q1 0 d\u00e9 1 0.9 s1\nq1 0 d2 2 0.8 s1\n",
+         [RunEntry("q1", "d\u00e9", 1, 0.9, "s1"), _E2]),
+        ("q1 0 d1\x1cx 1 0.9 s1\n", "line 1: expected 6 whitespace-separated fields, got 7"),
+        ("q1 0 d1 1 0.9 s1\nq1 0 d2\x1fx 2 0.8 s1\n",
+         "line 2: expected 6 whitespace-separated fields, got 7"),
+        # Ranks that int() reads but that are not plain digits.
+        ("q1 0 d1 01 0.9 s1\nq1 0 d2 +2 0.8 s1\n", [_E1, _E2]),
+        ("q1 0 d1 1 0.9 s1\nq1 0 d2 0_2 0.8 s1\nq1 0 d3 3 0.7 s1\n",
+         [_E1, _E2, RunEntry("q1", "d3", 3, 0.7, "s1")]),
     ],
     ids=["whitespace", "nul_doc", "hash_doc", "blank", "no_final_newline", "long_line", "cr",
          "crlf", "five_then_seven", "five_then_seven_aligned", "next_line_char",
-         "nul_then_seven", "hash_then_short", "long_short", "crlf_bad_rank"],
+         "nul_then_seven", "hash_then_short", "long_short", "crlf_bad_rank", "non_ascii_doc",
+         "x1c_in_doc", "x1f_in_doc", "zero_and_plus_ranks", "underscore_rank"],
 )
 @pytest.mark.parametrize("chunk_chars", [1, 7, 40, 333, 1 << 16])
 def test_tokenizer_edges_at_every_chunk_size(tmp_path, monkeypatch, text, expected, chunk_chars):
     """Valid text loads as the entries that made it; invalid text fails with the message of
-    its first bad line."""
+    its first bad line. Both hold whole and judged."""
     path = tmp_path / "runs.txt"
     path.write_bytes(text.encode())
     monkeypatch.setattr(corpus_io, "_CHUNK_CHARS", chunk_chars)
+    judgments = _graded(expected if isinstance(expected, list) else [_E1, _E2])
     if isinstance(expected, list):
-        assert load_runs(path) == RunSet(expected)
+        assert _load_both(path, judgments) == RunSet(expected)
         return
     with pytest.raises(ParseError) as info:
-        load_runs(path)
+        _load_both(path, judgments)
     assert str(info.value) == f"runs.txt: {expected}"
 
 
@@ -567,12 +614,13 @@ _GROUP = "for system 's1', query 'q1'"
 @pytest.mark.parametrize("chunk_chars", [1, 7, 40, 333, 1 << 16])
 def test_group_faults_at_every_chunk_size(tmp_path, monkeypatch, text, strict, expected,
                                           chunk_chars):
-    """A group fault gives one error, however the chunks cut the group into segments."""
+    """A group fault gives one error, however the chunks cut the group into segments, whole
+    and judged."""
     path = tmp_path / "runs.txt"
     path.write_text(text)
     monkeypatch.setattr(corpus_io, "_CHUNK_CHARS", chunk_chars)
     with pytest.raises(ValidationError) as info:
-        load_runs(path, strict_scores=strict)
+        _load_both(path, _graded([_E1, _E2]), strict)
     assert str(info.value) == f"runs.txt: {expected}"
 
 
@@ -589,6 +637,28 @@ def test_ranking_among_keeps_only_those_documents():
                 assert runs.ranking(system, query, depth, among=among) == {
                     d: r for d, r in ranked.items() if d in among}
                 assert runs.ranking(system, query, depth, among=set()) == {}
+
+
+def test_judged_runs_rank_the_judged_documents_as_the_whole_runs(tmp_path):
+    rng = random.Random(13)
+    for case in range(20):
+        entries = _random_entries(rng)
+        runs = RunSet(entries)
+        judgments = _graded(rng.sample(entries, rng.randrange(len(entries))))
+        path = tmp_path / f"runs{case}.txt"
+        path.write_text("".join(line + "\n" for line in _run_lines(entries)))
+        judged = load_runs(path, judged=judgments)
+        # Every (system, query) key stays, with or without a kept row.
+        assert sorted(judged._groups) == sorted(runs._groups)
+        assert len(judged) == sum(
+            judgments.grade(e.query, e.doc) not in (None, Relevance.IRRELEVANT) for e in entries)
+        for system in runs.systems():
+            for query in runs.queries() + ["no-such-query"]:
+                for depth in (None, 1, 5, 100):
+                    for partial in (False, True):
+                        among = judgments.relevant_docs(query, partial)
+                        assert judged.ranking(system, query, depth, among=among) == (
+                            runs.ranking(system, query, depth, among=among))
 
 
 def test_judgment_lookups_equal_a_full_scan():
