@@ -20,12 +20,12 @@ that is ASCII, without "#", NUL or \\x1c-\\x1f, as bytes with one `bytes.split`
 (a NUL token per newline proves 6 fields a line) and takes ranks that count up in
 plain digits by comparing tokens; any other chunk is decoded and split line by
 line. It cuts each chunk on its own into (system, query) segments, at rank-1 rows
-and key changes, and packs each segment's document ids into one string. One group
-check, which `RunSet(entries)` shares, is the only place that joins a group's
-segments; it decides what is valid and what every error says, then stores the
-whole group, or, for `load_runs(..., judged=J)`, only its rows of documents J
-grades relevant or partially relevant (every group's key stays). `JudgmentSet`
-indexes its grades by query.
+and key changes, packs each segment's document ids into one string and, for
+`load_runs(..., judged=J)`, notes its rows of documents J grades relevant or partially
+relevant (the one test of a row against J). One group check, which `RunSet(entries)`
+shares, is the only place that joins a group's segments; it decides what is valid and
+what every error says, then stores the whole group or only the noted rows (every
+group's key stays). `JudgmentSet` indexes its grades by query.
 
 All parsed structures are immutable after construction and safe to share
 across threads.
@@ -39,9 +39,8 @@ import math
 import operator
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, chain, compress, count, groupby
+from itertools import accumulate, chain, compress, count, groupby, repeat
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
@@ -55,8 +54,7 @@ def _check_token(value: str, what: str) -> str:
     return value
 
 
-@dataclass(frozen=True)
-class RunEntry:
+class RunEntry(NamedTuple):
     """One retrieved document: (query, doc) at a 1-based rank with a system score."""
 
     query: str
@@ -79,6 +77,7 @@ class _Segment(NamedTuple):
     ranks: range | tuple[int, ...]  # a range when they count up by one
     source: int  # the input's number
     line: int | None  # of the first row (the rows are consecutive lines)
+    kept: array | None = None  # in a judged read, the offsets of the kept rows
 
 
 #: (system, query) -> its segments, keys in first-appearance order.
@@ -89,6 +88,7 @@ class _Keep(NamedTuple):
     """By query, the documents whose rows a judged read keeps, as text and as bytes."""
     text: dict[str, frozenset[str]]
     raw: dict[bytes, frozenset[bytes]]
+    every_score: bool  # segments hold every row's score (for the strict check), else the kept rows'
 
 
 class RunSet:
@@ -155,7 +155,8 @@ def _cut(segments: _Segments, columns: Sequence, source: int, first: int | None,
     cut at each rank 1 and then at each change of key; `first` is the line number of row 0,
     None for entries. Columns of bytes hold rank tokens: unless each segment's count up
     from its first in plain digits ("1", "2", ...), nothing is added and the result is
-    False. With `keep`, a segment holds only the scores of rows of the kept documents."""
+    False. With `keep`, a segment also holds the offsets of its rows of the kept documents,
+    which are tested here alone, and unless `keep.every_score` only those rows' scores."""
     queries, docs, ranks, scores, systems = columns
     raw = isinstance(ranks[0], bytes)
     one = b"1" if raw else 1
@@ -183,16 +184,19 @@ def _cut(segments: _Segments, columns: Sequence, source: int, first: int | None,
             cuts.append(counting if ranks[a:b] == list(counting) else tuple(ranks[a:b]))
     for a, b, seg_ranks in zip(bounds, bounds[1:], cuts):
         query, system, seg_docs, seg_scores = queries[a], systems[a], docs[a:b], scores[a:b]
+        kept = None
         if keep is not None:
             wanted = (keep.raw if raw else keep.text).get(query, frozenset())
-            seg_scores = compress(seg_scores, map(wanted.__contains__, seg_docs))
+            kept = array("I", compress(count(), map(wanted.__contains__, seg_docs)))
+            if not keep.every_score:
+                seg_scores = map(seg_scores.__getitem__, kept)
         if raw:
             query, system, packed = query.decode(), system.decode(), b" ".join(seg_docs).decode()
         else:
             packed = tuple(seg_docs) if first is None else " ".join(seg_docs)
         segments.setdefault((system, query), []).append(_Segment(
             packed, tuple(seg_scores) if first is None else array("d", seg_scores), seg_ranks,
-            source, None if first is None else first + a))
+            source, None if first is None else first + a, kept))
     return True
 
 
@@ -218,8 +222,8 @@ def _plain_first(tokens: list[bytes]) -> int | None:
     return first if tokens == plain[first - 1:stop] else None
 
 
-def _checked(segments: _Segments, strict_scores: bool, names: list[str] | None = None,
-             keep: Mapping[str, frozenset[str]] | None = None) -> _RunColumns:
+def _checked(segments: _Segments, strict_scores: bool,
+             names: list[str] | None = None) -> _RunColumns:
     """Join each group's segments into (docs, ranks, scores) columns in rank order.
 
     This is the one place where a group's segments are joined; it pops them
@@ -230,11 +234,10 @@ def _checked(segments: _Segments, strict_scores: bool, names: list[str] | None =
     copy), a duplicate rank (with that line, when the group lies in one input),
     a gap, a document twice across inputs or entries, and in strict mode a
     score that rises. Errors start with the `names` of its inputs. A group is
-    stored whole, or with `keep` (query -> documents) only its rows of those
-    documents; the segments then hold every row's score only under
-    `strict_scores`, else only the kept rows'.
+    stored whole, or, from a judged read, whose segments hold the offsets of
+    their kept rows, only those rows; its segments then hold every row's score
+    only under `strict_scores`, else only the kept rows'.
     """
-    every_score = keep is None or strict_scores
     groups: _RunColumns = {}
     for key in list(segments):
         segs = segments.pop(key)
@@ -254,21 +257,22 @@ def _checked(segments: _Segments, strict_scores: bool, names: list[str] | None =
                 raise ValidationError(
                     f"{named}duplicate document {_echo(own_docs[at])} for {what} (line {line})"
                 )
-        wanted = None if keep is None else keep.get(key[1], frozenset())
+        judged = segs[0].kept is not None
+        every_score = strict_scores or not judged
         firsts = accumulate(map(len, parts), initial=1)
         if all(seg.ranks == range(r, r + len(part)) for seg, part, r in zip(segs, parts, firsts)):
             scores = _joined([seg.scores for seg in segs])
         else:
             by_rank: dict[int, tuple[str, float | None]] = {}
-            for part, (_, seg_scores, ranks, _, line) in zip(parts, segs):
-                seg_scores = iter(seg_scores)  # None for a row whose score is not held
-                for i, rank, doc in zip(count(), ranks, part):
+            for part, (_, seg_scores, ranks, _, line, _) in zip(parts, segs):
+                row_scores = seg_scores if every_score else repeat(None)  # None: not held
+                for i, rank, doc, score in zip(count(), ranks, part, row_scores):
                     if rank in by_rank:
                         at_line = f" (line {line + i})" if lines_known and len(sources) == 1 else ""
                         raise ValidationError(
                             f"{where}duplicate rank {_echo(str(rank), str)} for {what}{at_line}"
                         )
-                    by_rank[rank] = doc, next(seg_scores) if every_score or doc in wanted else None
+                    by_rank[rank] = doc, score
             n = len(by_rank)
             missing = sorted(set(range(1, n + 1)).difference(by_rank))
             if missing:
@@ -276,8 +280,6 @@ def _checked(segments: _Segments, strict_scores: bool, names: list[str] | None =
                     f"{where}ranks for {what} are not contiguous 1..{n} (missing {missing[:5]})"
                 )
             docs, scores = zip(*(by_rank[r] for r in range(1, n + 1)))
-            if not every_score:
-                scores = [score for score in scores if score is not None]
         if len(sources) > 1 or not lines_known:  # else checked within its one input
             at = _first_repeat(docs)
             if at is not None:
@@ -287,13 +289,15 @@ def _checked(segments: _Segments, strict_scores: bool, names: list[str] | None =
             if rank is not None:
                 raise ValidationError(f"{where}score increases from rank {rank} to {rank + 1} "
                                       f"for {what} (strict mode)")
-        ranks = range(1, len(docs) + 1)
-        if wanted is None:
-            groups[key] = tuple(docs), ranks, tuple(scores)
-        else:
-            kept = list(map(wanted.__contains__, docs))
-            groups[key] = (tuple(compress(docs, kept)), tuple(compress(ranks, kept)),
-                           tuple(compress(scores, kept) if every_score else scores))
+        if not judged:
+            groups[key] = tuple(docs), range(1, len(docs) + 1), tuple(scores)
+            continue
+        kept = sorted(  # (rank, doc, score) of each kept row
+            (seg.ranks[i], part[i], score) for seg, part in zip(segs, parts)
+            for i, score in zip(seg.kept, map(seg.scores.__getitem__, seg.kept)
+                                if every_score else seg.scores))
+        ranks, docs, scores = zip(*kept) if kept else _NO_GROUP
+        groups[key] = docs, ranks, scores
     return groups
 
 
@@ -347,12 +351,12 @@ class JudgmentSet:
             wanted.add(Relevance.PARTIALLY_RELEVANT)
         return {d for d, g in self._by_query.get(query, {}).items() if g in wanted}
 
-    def _kept(self) -> _Keep:
+    def _kept(self, every_score: bool) -> _Keep:
         """By query, the documents graded relevant or partially relevant."""
         text = {q: frozenset(d for d, g in grades.items() if g is not Relevance.IRRELEVANT)
                 for q, grades in self._by_query.items()}
         return _Keep(text, {q.encode(): frozenset(d.encode() for d in docs)
-                            for q, docs in text.items()})
+                            for q, docs in text.items()}, every_score)
 
     def items(self) -> Iterator[tuple[str, str, Relevance]]:
         for q, grades in sorted(self._by_query.items()):
@@ -558,14 +562,13 @@ def load_runs(path: str | Path, strict_scores: bool = False, *,
             raise ConfigError(f"runs directory {path} contains no files")
     else:
         files = [path]
-    keep = None if judged is None else judged._kept()
+    keep = None if judged is None else judged._kept(strict_scores)
     segments: _Segments = {}
     for source, f in enumerate(files):
         digest = hashlib.sha256()
         with open(f, "rb") as fh:
             try:
-                _read_runs(_file_reads(fh, digest), segments, source,
-                           None if strict_scores else keep)
+                _read_runs(_file_reads(fh, digest), segments, source, keep)
             except UnicodeDecodeError as exc:
                 raise _decode_error(f, exc) from exc
             except ParseError as exc:
@@ -573,8 +576,7 @@ def load_runs(path: str | Path, strict_scores: bool = False, *,
         if digests is not None:
             digests[f.name] = digest.hexdigest()
     names = [f.name for f in files]
-    return RunSet._from_columns(
-        _checked(segments, strict_scores, names, None if keep is None else keep.text))
+    return RunSet._from_columns(_checked(segments, strict_scores, names))
 
 
 def _file_reads(fh: IO[bytes], digest) -> Iterator[bytes]:

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the hook that validates records."""
+
+import functools
 
 
 class NovevalError(Exception):
@@ -25,3 +27,20 @@ class ConfigError(NovevalError):
 
 class OracleScaleError(NovevalError):
     """The brute-force oracle was asked to run beyond its intentionally small scale."""
+
+
+def validated(cls):
+    """Run the NamedTuple `cls`'s `_check` on each record built by `cls(...)`, `cls._make`
+    or `record._replace` (a namedtuple's `_make`, which `_replace` calls, skips `__new__`)."""
+
+    def checking(build):
+        @functools.wraps(build)
+        def checked(*args, **kwargs):
+            record = build(*args, **kwargs)
+            record._check()
+            return record
+        return checked
+
+    cls.__new__ = staticmethod(checking(cls.__new__))
+    cls._make = classmethod(checking(cls._make.__func__))
+    return cls

@@ -11,15 +11,15 @@ per-query rank-difference matrix are read from its columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus_io import JudgmentSet, RunSet
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, validated
 from .metrics import EvalConfig, QueryTable, average_precision, total_utility
 
 
-@dataclass(frozen=True)
-class LeaveOneOut:
+@validated
+class LeaveOneOut(NamedTuple):
     """Per-query leave-one-out scores of every system.
 
     utility[q][i] and ap[q][i] belong to systems[i] on query q; AP is None on
@@ -31,7 +31,7 @@ class LeaveOneOut:
     utility: dict[str, tuple[float, ...]]
     ap: dict[str, tuple[float | None, ...]]
 
-    def __post_init__(self):
+    def _check(self):
         m = len(self.systems)
         cells = {(len(self.utility.get(q, ())), len(self.ap.get(q, ()))) for q in self.queries}
         if cells != {(m, m)}:  # also when there is no query
@@ -69,8 +69,7 @@ def tie_break(scores: list[tuple[str, float]]) -> dict[str, int]:
     return {system: rank for rank, (system, _) in enumerate(ordered, start=1)}
 
 
-@dataclass(frozen=True)
-class RankingRow:
+class RankingRow(NamedTuple):
     system: str
     ap_score: float
     utility_score: float
@@ -83,11 +82,11 @@ class RankingRow:
         return self.ap_rank - self.utility_rank
 
 
-@dataclass(frozen=True)
-class RankingTable:
+@validated
+class RankingTable(NamedTuple):
     rows: tuple[RankingRow, ...]
 
-    def __post_init__(self):
+    def _check(self):
         m = len(self.rows)
         for column in ("ap_rank", "utility_rank"):
             ranks = sorted(getattr(row, column) for row in self.rows)
@@ -134,8 +133,7 @@ def aggregate(scores: LeaveOneOut, scheme: str = "sum") -> RankingTable:
     return RankingTable(rows=rows)
 
 
-@dataclass(frozen=True)
-class PerQueryDiffMatrix:
+class PerQueryDiffMatrix(NamedTuple):
     """Rank difference (AP rank - utility rank) per (system, query).
 
     Queries where AP is undefined (no relevant documents) are omitted.

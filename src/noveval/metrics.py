@@ -20,18 +20,20 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, validated
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 #: Document -> 1-based rank for one (system, query); missing key = not retrieved.
 RankAssignment = Mapping[str, int]
 
 
-@dataclass(frozen=True)
-class EvalConfig:
+@validated
+class EvalConfig(NamedTuple):
     """Evaluation parameters shared by the metrics and the harness.
 
     depth_n: ranking cutoff N defining the threshold space.
@@ -47,7 +49,7 @@ class EvalConfig:
     log_base: float = math.e
     epsilon_custom: float | None = None
 
-    def __post_init__(self):
+    def _check(self):
         if self.depth_n < 1:
             raise ConfigError(f"depth_n must be >= 1, got {self.depth_n}")
         if not (self.log_base > 0) or self.log_base == 1:
@@ -56,11 +58,13 @@ class EvalConfig:
             raise ConfigError(f"epsilon floor must be in (0, 1], got {self.epsilon_custom}")
 
     def system_floor(self) -> Fraction:
+        from fractions import Fraction
         if self.epsilon_custom is not None:
             return Fraction(self.epsilon_custom)
         return Fraction(1, 2 * self.depth_n)
 
     def pool_floor(self, pool_size: int) -> Fraction:
+        from fractions import Fraction
         if self.epsilon_custom is not None:
             return Fraction(self.epsilon_custom)
         return Fraction(1, 2 * self.depth_n * pool_size)
@@ -71,12 +75,7 @@ class EvalConfig:
         return math.log(x) / math.log(self.log_base)
 
     def to_dict(self) -> dict:
-        return {
-            "depth_n": self.depth_n,
-            "partial_relevant_counts": self.partial_relevant_counts,
-            "log_base": "e" if self.log_base == math.e else self.log_base,
-            "epsilon_custom": self.epsilon_custom,
-        }
+        return self._asdict() | ({"log_base": "e"} if self.log_base == math.e else {})
 
 
 def read_probability(rank: int | None, depth_n: int) -> Fraction:
@@ -84,6 +83,7 @@ def read_probability(rank: int | None, depth_n: int) -> Fraction:
 
     Closed form (N - r + 1) / N; absent documents (rank None) have probability 0.
     """
+    from fractions import Fraction
     if depth_n < 1:
         raise ConfigError(f"depth_n must be >= 1, got {depth_n}")
     if rank is None:
@@ -93,11 +93,10 @@ def read_probability(rank: int | None, depth_n: int) -> Fraction:
     return Fraction(depth_n - rank + 1, depth_n)
 
 
-@dataclass(frozen=True)
-class UtilityScore:
-    """Per-document utilities and their sum for one (system, query)."""
+class UtilityScore(NamedTuple):
+    """Per-document utilities and their sum for one (system, query); none by default."""
 
-    per_doc: dict[str, float] = field(default_factory=dict)
+    per_doc: Mapping[str, float] = MappingProxyType({})
     total: float = 0.0
 
 
@@ -162,8 +161,10 @@ def total_utility(
     if not (isinstance(pool, QueryTable) and pool.depth_n == n and pool.docs == docs):
         pool = QueryTable(pool, docs, n)
     n_pool = n * len(pool)
-    sys_floor = config.system_floor().as_integer_ratio()
-    pool_floor = config.pool_floor(len(pool)).as_integer_ratio()
+    if config.epsilon_custom is None:
+        sys_floor, pool_floor = (1, 2 * n), (1, 2 * n_pool)
+    else:
+        sys_floor = pool_floor = config.epsilon_custom.as_integer_ratio()
     log = config.log
     per_doc: dict[str, float] = {}
     for doc, c, t in zip(docs, _numerators(assignment_x, docs, n), pool.totals):

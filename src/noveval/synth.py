@@ -10,19 +10,21 @@ reproducible anywhere.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
 from .corpus_io import JudgmentSet, Relevance, RunSet, _RunColumns
-from .errors import ConfigError, OracleScaleError, ValidationError
+from .errors import ConfigError, OracleScaleError, ValidationError, validated
 from .metrics import EvalConfig, UtilityScore
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 #: The oracle refuses larger depths so its quadratic naivety stays honest.
 ORACLE_MAX_DEPTH = 50
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
+@validated
+class SyntheticSpec(NamedTuple):
     """Parameters controlling overlap and novelty in a generated corpus.
 
     shared_fraction of each query's relevant documents is retrieved by every
@@ -48,7 +50,7 @@ class SyntheticSpec:
     designated_system: int | None = None
     ap_handicap: bool = False
 
-    def __post_init__(self):
+    def _check(self):
         if self.num_systems < 2:
             raise ConfigError("num_systems must be >= 2")
         if self.num_queries < 1:
@@ -156,6 +158,7 @@ def generate(spec: SyntheticSpec) -> tuple[RunSet, JudgmentSet]:
 
 def _read_probability_enumerated(rank: int | None, depth_n: int) -> Fraction:
     """Literal threshold enumeration: sum of 1/N over thresholds i = rank..N."""
+    from fractions import Fraction
     if rank is None:
         return Fraction(0)
     total = Fraction(0)
@@ -173,6 +176,7 @@ def oracle_utility(
     explicit threshold enumeration (never the closed form) and pooling by an
     explicit mean over the other systems. Intended for small instances only.
     """
+    from fractions import Fraction
     if config.depth_n > ORACLE_MAX_DEPTH:
         raise OracleScaleError(
             f"oracle depth limit is {ORACLE_MAX_DEPTH}, got {config.depth_n}"

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import math
 import random
@@ -333,13 +332,47 @@ def test_sums_do_not_depend_on_id_order():
             assert set(aggregate(renamed, scheme).rows) == set(aggregate(scores, scheme).rows)
 
 
+def test_renaming_systems_moves_only_tie_breaks():
+    """Renaming the systems so that their sort order reverses leaves each system's
+    utility and AP identical (==), per query and in the ranking table; a rank may
+    move only among systems tied on that score."""
+    rng = random.Random(1717)
+    moved = 0
+    for _ in range(300):
+        runs, js = _random_corpus(rng)
+        cfg = _random_config(rng)
+        names = _reversing(runs.systems())
+        renamed_runs = RunSet(RunEntry(e.query, e.doc, e.rank, e.score, names[e.system])
+                              for e in runs.entries())
+        scores = run_leave_one_out(runs, js, cfg)
+        renamed = run_leave_one_out(renamed_runs, js, cfg)
+        assert renamed.queries == scores.queries
+        at = {s: renamed.systems.index(names[s]) for s in scores.systems}
+        for q in scores.queries:
+            for i, s in enumerate(scores.systems):
+                assert renamed.utility[q][at[s]] == scores.utility[q][i]
+                assert renamed.ap[q][at[s]] == scores.ap[q][i]
+        for scheme in ("sum", "mean"):
+            rows = aggregate(scores, scheme).rows
+            new = {row.system: row for row in aggregate(renamed, scheme).rows}
+            for row in rows:
+                twin = new[names[row.system]]
+                assert (twin.ap_score, twin.utility_score) == (row.ap_score, row.utility_score)
+                for score, rank in (("ap_score", "ap_rank"), ("utility_score", "utility_rank")):
+                    value = getattr(row, score)
+                    tied = {getattr(r, rank) for r in rows if getattr(r, score) == value}
+                    assert getattr(twin, rank) in tied
+                    moved += getattr(twin, rank) != getattr(row, rank)
+    assert moved >= 100, moved
+
+
 def test_two_systems_have_opposite_utilities():
     """With M = 2 each system's pool is the other one, so u(x) = -u(y)."""
     rng = random.Random(2)
     for _ in range(300):
         runs, js = _random_corpus(rng, num_systems=2)
         for epsilon in (None, rng.choice(EPSILONS[2:])):
-            cfg = dataclasses.replace(_random_config(rng), epsilon_custom=epsilon)
+            cfg = _random_config(rng)._replace(epsilon_custom=epsilon)
             scores = run_leave_one_out(runs, js, cfg)
             for q in scores.queries:
                 x, y = scores.utility[q]
