@@ -32,6 +32,7 @@ from .metrics import EvalConfig
 from .synth import SyntheticSpec, generate
 
 _LOG_BASES = {"e": math.e, "2": 2.0, "10": 10.0}
+_RANKING_HEADER = ("system", "ap_rank", "utility_rank", "difference", "ap_score", "utility_score")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,21 +42,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _signed(diff: int) -> str:
-    return f"+{diff}" if diff > 0 else str(diff)
-
-
-def _columnize(rows: list[list[str]]) -> str:
-    """Left-align the first column and right-align the rest."""
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    out = []
-    for row in rows:
-        cells = [
-            cell.rjust(w) if i else cell.ljust(w)
-            for i, (cell, w) in enumerate(zip(row, widths))
-        ]
-        out.append("  ".join(cells).rstrip())
-    return "\n".join(out) + "\n"
+def _table(rows: list, fmt: str) -> str:
+    """CSV joins each row's cells with commas; text left-aligns the first column and
+    right-aligns the rest."""
+    cells = [[str(cell) for cell in row] for row in rows]
+    if fmt == "csv":
+        return "".join(",".join(row) + "\n" for row in cells)
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    out = ""
+    for first, *rest in cells:
+        line = "  ".join([first.ljust(widths[0])] + [c.rjust(w) for c, w in zip(rest, widths[1:])])
+        out += line.rstrip() + "\n"
+    return out
 
 
 def abbreviate_queries(queries: list[str]) -> list[str]:
@@ -81,89 +79,43 @@ def render_ranking(
     """Utility-ranked table, then any `per_query` matrix; text aligns, CSV/JSON keep precision."""
     if len(table.rows) < 2:
         raise ValidationError("ranking table requires at least 2 systems")
-    rows = table.by_utility_rank()
+    rows = [(r.system, r.ap_rank, r.utility_rank, r.difference, r.ap_score, r.utility_score)
+            for r in table.by_utility_rank()]
     if fmt == "json":
         payload: dict = {"metadata": metadata} if metadata else {}
-        payload["ranking"] = [
-            {
-                "system": r.system,
-                "ap_rank": r.ap_rank,
-                "utility_rank": r.utility_rank,
-                "difference": r.difference,
-                "ap_score": r.ap_score,
-                "utility_score": r.utility_score,
-            }
-            for r in rows
-        ]
+        payload["ranking"] = [dict(zip(_RANKING_HEADER, row)) for row in rows]
         if per_query is not None:
             return render_per_query(per_query, fmt, report=payload)
         return json.dumps(payload, indent=2) + "\n"
-    tail = "" if per_query is None else "\n" + render_per_query(per_query, fmt)
-    meta_lines = _metadata_comments(metadata)
-    if fmt == "csv":
-        body = "system,ap_rank,utility_rank,difference,ap_score,utility_score\n"
-        for r in rows:
-            body += (
-                f"{r.system},{r.ap_rank},{r.utility_rank},{r.difference},"
-                f"{r.ap_score!r},{r.utility_score!r}\n"
-            )
-        return meta_lines + body + tail
-    cells = [["system", "ap_rank", "utility_rank", "difference", "ap_score", "utility_score"]]
-    for r in rows:
-        cells.append(
-            [
-                r.system,
-                str(r.ap_rank),
-                str(r.utility_rank),
-                _signed(r.difference),
-                f"{r.ap_score:.4f}",
-                f"{r.utility_score:.4f}",
-            ]
-        )
-    return meta_lines + _columnize(cells) + tail
-
-
-def render_per_query(matrix: PerQueryDiffMatrix, fmt: str, report: dict | None = None) -> str:
-    """Rank-difference matrix (rows systems, columns queries); JSON nests it in a `report`."""
-    if fmt == "json":
-        payload = {
-            "queries": list(matrix.queries),
-            "rows": [
-                {
-                    "system": s,
-                    "diffs": [matrix.diffs[(s, q)] for q in matrix.queries],
-                }
-                for s in matrix.systems
-            ],
-        }
-        if report is not None:
-            payload = report | {"per_query": payload}
-        return json.dumps(payload, indent=2) + "\n"
-    headers = abbreviate_queries(list(matrix.queries))
-    if fmt == "csv":
-        body = "system," + ",".join(headers) + "\n"
-        for s in matrix.systems:
-            body += s + "," + ",".join(
-                str(matrix.diffs[(s, q)]) for q in matrix.queries
-            ) + "\n"
-        return body
-    cells = [["system"] + headers]
-    for s in matrix.systems:
-        cells.append([s] + [str(matrix.diffs[(s, q)]) for q in matrix.queries])
-    return _columnize(cells)
-
-
-def _metadata_comments(metadata: dict | None) -> str:
-    if not metadata:
-        return ""
+    if fmt != "csv":
+        rows = [(system, ap_rank, utility_rank, f"{diff:+d}" if diff else "0",
+                 f"{ap_score:.4f}", f"{utility_score:.4f}")
+                for system, ap_rank, utility_rank, diff, ap_score, utility_score in rows]
     out = ""
-    for key, value in metadata.items():
+    for key, value in (metadata or {}).items():
         if isinstance(value, dict):
             for k2, v2 in value.items():
                 out += f"# {key}.{k2} = {v2}\n"
         else:
             out += f"# {key} = {value}\n"
+    out += _table([_RANKING_HEADER, *rows], fmt)
+    if per_query is not None:
+        out += "\n" + render_per_query(per_query, fmt)
     return out
+
+
+def render_per_query(matrix: PerQueryDiffMatrix, fmt: str, report: dict | None = None) -> str:
+    """Rank-difference matrix (rows systems, columns queries); JSON nests it in a `report`."""
+    rows = [[s, *(matrix.diffs[(s, q)] for q in matrix.queries)] for s in matrix.systems]
+    if fmt == "json":
+        payload = {
+            "queries": list(matrix.queries),
+            "rows": [{"system": row[0], "diffs": row[1:]} for row in rows],
+        }
+        if report is not None:
+            payload = report | {"per_query": payload}
+        return json.dumps(payload, indent=2) + "\n"
+    return _table([["system", *abbreviate_queries(list(matrix.queries))], *rows], fmt)
 
 
 def _sha256(path: Path) -> str:

@@ -564,3 +564,160 @@ def test_non_utf8_run_files_name_the_line_and_reason(tmp_path, capsys, tail, rea
     assert main(["--runs", str(runs), "--qrels", str(qrels), "--depth", "10"]) == 1
     assert _single_error_line(capsys.readouterr().err) == (
         f"error: runs.txt: line 5: not valid UTF-8 ({reason})")
+
+
+@pytest.mark.parametrize(
+    "option,value,message",
+    [
+        ("--grade-map", "r2", "bad grade-map entry 'r2'; expected letter=int"),
+        ("--grade-map", "x=2", "unknown grade letter 'x'; expected r, p or i"),
+        ("--grade-map", "r=two", "grade value is not an integer: 'two'"),
+        ("--epsilon-policy", "custom:abc", "bad epsilon policy value: 'custom:abc'"),
+    ],
+    ids=["grade_map_no_equals", "grade_map_unknown_letter", "grade_map_not_integer",
+         "epsilon_not_float"],
+)
+def test_bad_option_values_exit_1_with_their_message(corpus, capsys, option, value, message):
+    runs, qrels = corpus
+    assert main(["--runs", str(runs), "--qrels", str(qrels), option, value]) == 1
+    assert _single_error_line(capsys.readouterr().err) == "error: " + message
+
+
+def test_empty_runs_directory_exits_1(corpus, tmp_path, capsys):
+    _, qrels = corpus
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["--runs", str(empty), "--qrels", str(qrels)]) == 1
+    assert _single_error_line(capsys.readouterr().err) == (
+        f"error: runs directory {empty} contains no files")
+
+
+# A fixed report for the byte-exact render test: differences of +1, -1 and 0, scores that
+# need repr precision (1/3), query ids with a shared prefix, and metadata holding a nested
+# dict and a plain value.
+GOLDEN_TABLE = RankingTable(rows=(
+    RankingRow("bm25", ap_score=0.5, utility_score=-2.0, ap_rank=3, utility_rank=3),
+    RankingRow("lm-dirichlet", ap_score=0.25, utility_score=1 / 3, ap_rank=2, utility_rank=1),
+    RankingRow("s7", ap_score=1 / 3, utility_score=0.125, ap_rank=1, utility_rank=2),
+))
+GOLDEN_MATRIX = PerQueryDiffMatrix(
+    systems=("lm-dirichlet", "s7", "bm25"),
+    queries=("topic-101", "topic-102"),
+    diffs={("lm-dirichlet", "topic-101"): 1, ("lm-dirichlet", "topic-102"): 0,
+           ("s7", "topic-101"): -1, ("s7", "topic-102"): 12,
+           ("bm25", "topic-101"): 0, ("bm25", "topic-102"): -12},
+)
+GOLDEN_METADATA = {"config": {"depth_n": 10, "agg": "sum"}, "note": "golden"}
+
+# Each format's expected report as (metadata, ranking, per-query) pieces; a report is
+# the pieces it has, joined as `_golden` says.
+GOLDEN_PIECES = {
+    "text": (
+        "# config.depth_n = 10\n"
+        "# config.agg = sum\n"
+        "# note = golden\n",
+        "system        ap_rank  utility_rank  difference  ap_score  utility_score\n"
+        "lm-dirichlet        2             1          +1    0.2500         0.3333\n"
+        "s7                  1             2          -1    0.3333         0.1250\n"
+        "bm25                3             3           0    0.5000        -2.0000\n",
+        "\n"
+        "system        01   02\n"
+        "lm-dirichlet   1    0\n"
+        "s7            -1   12\n"
+        "bm25           0  -12\n",
+    ),
+    "csv": (
+        "# config.depth_n = 10\n"
+        "# config.agg = sum\n"
+        "# note = golden\n",
+        "system,ap_rank,utility_rank,difference,ap_score,utility_score\n"
+        "lm-dirichlet,2,1,1,0.25,0.3333333333333333\n"
+        "s7,1,2,-1,0.3333333333333333,0.125\n"
+        "bm25,3,3,0,0.5,-2.0\n",
+        "\n"
+        "system,01,02\n"
+        "lm-dirichlet,1,0\n"
+        "s7,-1,12\n"
+        "bm25,0,-12\n",
+    ),
+    "json": (
+        '  "metadata": {\n'
+        '    "config": {\n'
+        '      "depth_n": 10,\n'
+        '      "agg": "sum"\n'
+        '    },\n'
+        '    "note": "golden"\n'
+        '  },\n',
+        '  "ranking": [\n'
+        '    {\n'
+        '      "system": "lm-dirichlet",\n'
+        '      "ap_rank": 2,\n'
+        '      "utility_rank": 1,\n'
+        '      "difference": 1,\n'
+        '      "ap_score": 0.25,\n'
+        '      "utility_score": 0.3333333333333333\n'
+        '    },\n'
+        '    {\n'
+        '      "system": "s7",\n'
+        '      "ap_rank": 1,\n'
+        '      "utility_rank": 2,\n'
+        '      "difference": -1,\n'
+        '      "ap_score": 0.3333333333333333,\n'
+        '      "utility_score": 0.125\n'
+        '    },\n'
+        '    {\n'
+        '      "system": "bm25",\n'
+        '      "ap_rank": 3,\n'
+        '      "utility_rank": 3,\n'
+        '      "difference": 0,\n'
+        '      "ap_score": 0.5,\n'
+        '      "utility_score": -2.0\n'
+        '    }\n'
+        '  ]',
+        ',\n'
+        '  "per_query": {\n'
+        '    "queries": [\n'
+        '      "topic-101",\n'
+        '      "topic-102"\n'
+        '    ],\n'
+        '    "rows": [\n'
+        '      {\n'
+        '        "system": "lm-dirichlet",\n'
+        '        "diffs": [\n'
+        '          1,\n'
+        '          0\n'
+        '        ]\n'
+        '      },\n'
+        '      {\n'
+        '        "system": "s7",\n'
+        '        "diffs": [\n'
+        '          -1,\n'
+        '          12\n'
+        '        ]\n'
+        '      },\n'
+        '      {\n'
+        '        "system": "bm25",\n'
+        '        "diffs": [\n'
+        '          0,\n'
+        '          -12\n'
+        '        ]\n'
+        '      }\n'
+        '    ]\n'
+        '  }',
+    ),
+}
+
+
+def _golden(fmt: str, with_metadata: bool, with_per_query: bool) -> str:
+    meta, ranking, per_query = GOLDEN_PIECES[fmt]
+    body = (meta if with_metadata else "") + ranking + (per_query if with_per_query else "")
+    return "{\n" + body + "\n}\n" if fmt == "json" else body
+
+
+@pytest.mark.parametrize("with_per_query", [False, True], ids=["ranking", "per_query"])
+@pytest.mark.parametrize("with_metadata", [False, True], ids=["bare", "metadata"])
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_reports_render_byte_for_byte(fmt, with_metadata, with_per_query):
+    out = render_ranking(GOLDEN_TABLE, fmt, GOLDEN_METADATA if with_metadata else None,
+                         GOLDEN_MATRIX if with_per_query else None)
+    assert out == _golden(fmt, with_metadata, with_per_query)

@@ -207,6 +207,16 @@ def test_judgment_unmapped_grade_rejected():
         parse_judgments(io.StringIO("1001 0 d1 3\n"))
 
 
+def test_judgment_comments_and_blank_lines_are_skipped():
+    text = "# judged by hand\n\nq1 0 d1 2\n   \n\t\nq1 0 d2 1\n"
+    assert parse_judgments(io.StringIO(text)) == parse_judgments(
+        io.StringIO("q1 0 d1 2\nq1 0 d2 1\n"))
+    # A bad line after skipped ones still names its own line number.
+    with pytest.raises(ParseError) as info:
+        parse_judgments(io.StringIO(text + "# x\n\nq1 0 d3 two\n"))
+    assert str(info.value) == "line 9: grade is not an integer: 'two'"
+
+
 def test_judgment_round_trip():
     js = parse_judgments(io.StringIO("1001 0 d1 2\n1001 0 d2 1\n1002 0 d1 0\n"))
     sink = io.StringIO()
@@ -442,6 +452,10 @@ def test_valid_edge_files_load_as_the_line_parser_reads_them(tmp_path, text):
         ({"a.txt": "q1 0 d1 1 0.9 s1\n", "b.txt": "q1 0 d2 1 0.8 s1\n"},
          ValidationError, "a.txt, b.txt: duplicate rank 1 for system 's1', query 'q1'"),
     ],
+    ids=["five_then_seven_fields", "rank_gap", "duplicate_document", "nan_score",
+         "group_without_rank_1", "rank_not_integer", "rank_zero", "duplicate_rank",
+         "repeated_line", "skipped_lines_counted", "duplicate_doc_two_files",
+         "entries_without_file", "duplicate_rank_two_files"],
 )
 def test_invalid_files_fail_as_the_line_parser_says(tmp_path, text, error, message):
     """`text` is one run file's text, a runs directory as {name: text}, or RunSet entries."""
