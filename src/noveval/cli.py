@@ -11,8 +11,6 @@ Exit codes: 0 success, 1 validation/configuration error, 2 I/O failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import math
 import os
 import sys
@@ -43,11 +41,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _table(rows: list, fmt: str) -> str:
-    """CSV joins each row's cells with commas; text left-aligns the first column and
+    """CSV joins each row's cells with commas, quoting a cell that holds a comma or a quote
+    and doubling its quotes, as `csv.writer` does; text left-aligns the first column and
     right-aligns the rest."""
     cells = [[str(cell) for cell in row] for row in rows]
     if fmt == "csv":
-        return "".join(",".join(row) + "\n" for row in cells)
+        quoted = [['"' + c.replace('"', '""') + '"' if "," in c or '"' in c else c for c in row]
+                  for row in cells]
+        return "".join(",".join(row) + "\n" for row in quoted)
     widths = [max(map(len, column)) for column in zip(*cells)]
     out = ""
     for first, *rest in cells:
@@ -82,6 +83,7 @@ def render_ranking(
     rows = [(r.system, r.ap_rank, r.utility_rank, r.difference, r.ap_score, r.utility_score)
             for r in table.by_utility_rank()]
     if fmt == "json":
+        import json  # only this format needs it, so the others skip its import
         payload: dict = {"metadata": metadata} if metadata else {}
         payload["ranking"] = [dict(zip(_RANKING_HEADER, row)) for row in rows]
         if per_query is not None:
@@ -108,6 +110,7 @@ def render_per_query(matrix: PerQueryDiffMatrix, fmt: str, report: dict | None =
     """Rank-difference matrix (rows systems, columns queries); JSON nests it in a `report`."""
     rows = [[s, *(matrix.diffs[(s, q)] for q in matrix.queries)] for s in matrix.systems]
     if fmt == "json":
+        import json
         payload = {
             "queries": list(matrix.queries),
             "rows": [{"system": row[0], "diffs": row[1:]} for row in rows],
@@ -116,15 +119,6 @@ def render_per_query(matrix: PerQueryDiffMatrix, fmt: str, report: dict | None =
             payload = report | {"per_query": payload}
         return json.dumps(payload, indent=2) + "\n"
     return _table([["system", *abbreviate_queries(list(matrix.queries))], *rows], fmt)
-
-
-def _sha256(path: Path) -> str:
-    """SHA-256 of a file, read in fixed-size blocks."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(block)
-    return digest.hexdigest()
 
 
 def _parse_grade_map(spec: str) -> dict[int, Relevance]:
@@ -215,7 +209,8 @@ def _run_eval(argv: list[str]) -> int:
     )
     grade_map = _parse_grade_map(args.grade_map)
     # The qrels come first, so that the runs keep only their judged-relevant rows.
-    judgments = corpus_io.load_judgments(args.qrels, grade_map)
+    qrels_digest: dict[str, str] = {}
+    judgments = corpus_io.load_judgments(args.qrels, grade_map, digests=qrels_digest)
     digests: dict[str, str] = {}
     runs = corpus_io.load_runs(args.runs, strict_scores=args.strict_scores, judged=judgments,
                                digests=digests)
@@ -226,7 +221,7 @@ def _run_eval(argv: list[str]) -> int:
         "config": config.to_dict() | {"agg": args.agg},
         "inputs": {
             "runs": digests if runs_path.is_dir() else digests[runs_path.name],
-            "qrels": _sha256(Path(args.qrels)),
+            "qrels": qrels_digest[Path(args.qrels).name],
         },
     }
     matrix = per_query_diffs(scores) if args.per_query else None

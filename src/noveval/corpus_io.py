@@ -25,7 +25,8 @@ and key changes, packs each segment's document ids into one string and, for
 relevant (the one test of a row against J). One group check, which `RunSet(entries)`
 shares, is the only place that joins a group's segments; it decides what is valid and
 what every error says, then stores the whole group or only the noted rows (every
-group's key stays). `JudgmentSet` indexes its grades by query.
+group's key stays). The judgment reader splits the same chunks the same way, and reads any
+other chunk line by line. `JudgmentSet` indexes its grades and relevant documents by query.
 
 All parsed structures are immutable after construction and safe to share
 across threads.
@@ -42,7 +43,7 @@ from bisect import bisect_right
 from enum import Enum
 from itertools import accumulate, chain, compress, count, groupby, repeat
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
 from .errors import ConfigError, ParseError, ValidationError
 
@@ -335,9 +336,20 @@ class JudgmentSet:
     """Graded relevance assessments, kept by query; an absent (query, doc) pair is unjudged."""
 
     def __init__(self, grades: Mapping[tuple[str, str], Relevance]):
-        self._by_query: dict[str, dict[str, Relevance]] = {}  # no inner dict is empty
+        by_query: dict[str, dict[str, Relevance]] = {}
         for (query, doc), grade in grades.items():
-            self._by_query.setdefault(query, {})[doc] = grade
+            by_query.setdefault(query, {})[doc] = grade
+        self._index(by_query)
+
+    def _index(self, by_query: dict[str, dict[str, Relevance]]) -> JudgmentSet:
+        """Hold the query -> doc -> grade dicts, none of them empty, and index by query its
+        relevant documents and its relevant and partially relevant ones."""
+        self._by_query, self._relevant = by_query, {}
+        for query, grades in by_query.items():
+            kept = [d for d, g in grades.items() if g is not Relevance.IRRELEVANT]
+            relevant = [d for d in kept if grades[d] is Relevance.RELEVANT]
+            self._relevant[query] = tuple(relevant), tuple(kept)
+        return self
 
     def grade(self, query: str, doc: str) -> Relevance | None:
         return self._by_query.get(query, {}).get(doc)
@@ -346,15 +358,11 @@ class JudgmentSet:
         return sorted(self._by_query)
 
     def relevant_docs(self, query: str, include_partial: bool = False) -> set[str]:
-        wanted = {Relevance.RELEVANT}
-        if include_partial:
-            wanted.add(Relevance.PARTIALLY_RELEVANT)
-        return {d for d, g in self._by_query.get(query, {}).items() if g in wanted}
+        return set(self._relevant.get(query, ((), ()))[include_partial])
 
     def _kept(self, every_score: bool) -> _Keep:
         """By query, the documents graded relevant or partially relevant."""
-        text = {q: frozenset(d for d, g in grades.items() if g is not Relevance.IRRELEVANT)
-                for q, grades in self._by_query.items()}
+        text = {q: frozenset(kept) for q, (_, kept) in self._relevant.items()}
         return _Keep(text, {q.encode(): frozenset(d.encode() for d in docs)
                             for q, docs in text.items()}, every_score)
 
@@ -413,16 +421,7 @@ def _read_runs(reads: Iterable[bytes], segments: _Segments, source: int,
     bytes with plain ranks is decoded and split line by line; one with a line that
     does not convert is read again line by line, for the error of its first such line.
     """
-    lineno = 1  # the line number of the chunk's first line
-    tail = b""  # the bytes after the last newline read
-    # The reads, then a newline to end a last line that has none (else it reads as blank).
-    for read in chain(reads, [b"\n"]):
-        cut = read.rfind(b"\n") + 1
-        if not cut:
-            tail += read  # a line longer than a read
-            continue
-        text, tail = tail + read[:cut], read[cut:]
-        lines = text.count(b"\n")
+    for lineno, text, lines in _chunks(reads):
         columns = _split(text, lines)
         if columns is None or not _cut(segments, columns, source, lineno, keep):
             decoded = text.decode()
@@ -432,19 +431,43 @@ def _read_runs(reads: Iterable[bytes], segments: _Segments, source: int,
                 _raise_first_fault(decoded.split("\n"), lineno)
             for first, piece in pieces:
                 _cut(segments, piece, source, first, keep)
+
+
+def _chunks(reads: Iterable[bytes]) -> Iterator[tuple[int, bytes, int]]:
+    """(first line's number, text, line count) of each chunk, cut after a read's last newline."""
+    lineno = 1
+    tail = b""  # the bytes after the last newline read
+    # The reads, then a newline to end a last line that has none (else it reads as blank).
+    for read in chain(reads, [b"\n"]):
+        cut = read.rfind(b"\n") + 1
+        if not cut:
+            tail += read  # a line longer than a read
+            continue
+        text, tail = tail + read[:cut], read[cut:]
+        lines = text.count(b"\n")
+        yield lineno, text, lines
         lineno += lines
 
 
-def _split(text: bytes, n: int) -> list | None:
-    """The columns (queries, docs, ranks, scores, systems) of an ASCII `text` without "#",
-    NUL or \\x1c-\\x1f whose lines all hold 6 fields and finite scores, split once as bytes
-    with a NUL token for each of its n newlines: the lines hold 6 fields exactly when that
-    gives 7n tokens with a NUL at every seventh. Scores are converted, ranks left as tokens;
-    any other text gives None."""
+def _tokens(text: bytes, n: int, fields: int, decode: bool = False) -> list | None:
+    """The tokens, as bytes or `decode`d (both split alike here), of an ASCII `text` without
+    "#", NUL or \\x1c-\\x1f, split once with a NUL token per newline, if its n lines all hold
+    `fields` fields: exactly when that gives (fields + 1) n tokens, a NUL after every `fields`."""
     if not text.isascii() or any(map(text.__contains__, _OFF_SPLIT)):
         return None
-    toks = text.replace(b"\n", b" \x00 ").split()
-    if len(toks) != 7 * n or toks[6::7].count(b"\x00") != n:
+    text = text.replace(b"\n", b" \x00 ")
+    toks = (text.decode() if decode else text).split()
+    step = fields + 1
+    if len(toks) != step * n or toks[fields::step].count("\x00" if decode else b"\x00") != n:
+        return None
+    return toks
+
+
+def _split(text: bytes, n: int) -> list | None:
+    """The columns (queries, docs, ranks, scores, systems) of n lines that `_tokens` splits
+    into 6 fields each, with finite scores (converted; ranks left as tokens), else None."""
+    toks = _tokens(text, n, 6)
+    if toks is None:
         return None
     try:
         scores = list(map(float, toks[4::7]))
@@ -499,28 +522,63 @@ def _raise_first_fault(lines: list[str], lineno: int) -> NoReturn:
 
 def parse_judgments(stream: IO[str], grade_map: Mapping[int, Relevance] | None = None) -> JudgmentSet:
     """Parse a 4-column judgment file through `grade_map` (default 2/1/0)."""
+    return _read_judgments(iter(lambda: stream.read(_CHUNK_CHARS).encode(), b""), grade_map)
+
+
+def _read_judgments(reads: Iterable[bytes],
+                    grade_map: Mapping[int, Relevance] | None) -> JudgmentSet:
+    """Read one judgment input in the run reader's chunks. A chunk that `_tokens` splits into 4
+    fields a line, each grade a mapped value's plain spelling ("2", "-1"), is stored one run of
+    rows of a query at a time. Any other chunk, or one with a run that repeats a document or
+    meets one already graded, is read line by line, which gives every error and leaves the
+    runs stored before it as they were."""
     if grade_map is None:
         grade_map = DEFAULT_GRADE_MAP
-    judgments = JudgmentSet({})  # filled in place, line by line
-    for lineno, fields in _iter_records(stream, 4):
-        query, _iter, doc, grade_s = fields
-        try:
-            grade_val = int(grade_s)
-        except ValueError:
-            raise ParseError(f"grade is not an integer: {_echo(grade_s)}", lineno) from None
-        if grade_val not in grade_map:
-            raise ConfigError(
-                f"line {lineno}: grade value {_echo(str(grade_val), str)} has no mapping "
-                f"(known: {sorted(grade_map)})"
-            )
-        grade = grade_map[grade_val]
-        grades = judgments._by_query.setdefault(query, {})
-        if grades.get(doc, grade) is not grade:
-            raise ValidationError(
-                f"conflicting grades for query {_echo(query)}, doc {_echo(doc)} (line {lineno})"
-            )
-        grades[doc] = grade
-    return judgments
+    plain = {"%d" % value: grade for value, grade in grade_map.items() if isinstance(value, int)}
+    by_query: dict[str, dict[str, Relevance]] = {}
+    for first, text, lines in _chunks(reads):
+        if _judge_plain(text, lines, plain, by_query):
+            continue
+        for lineno, (query, _, doc, grade_s) in _iter_records(text.decode().split("\n"), 4, first):
+            try:
+                grade_val = int(grade_s)
+            except ValueError:
+                raise ParseError(f"grade is not an integer: {_echo(grade_s)}", lineno) from None
+            if grade_val not in grade_map:
+                raise ConfigError(
+                    f"line {lineno}: grade value {_echo(str(grade_val), str)} has no mapping "
+                    f"(known: {sorted(grade_map)})"
+                )
+            grade = grade_map[grade_val]
+            grades = by_query.setdefault(query, {})
+            if grades.get(doc, grade) is not grade:
+                raise ValidationError(
+                    f"conflicting grades for query {_echo(query)}, doc {_echo(doc)} (line {lineno})"
+                )
+            grades[doc] = grade
+    return JudgmentSet({})._index(by_query)
+
+
+def _judge_plain(text: bytes, n: int, plain: dict[str, Relevance],
+                 by_query: dict[str, dict[str, Relevance]]) -> bool:
+    """Store the judgments of a plain chunk of n lines (see `_read_judgments`), or return
+    False at its first run of rows that repeats a document or meets one already graded."""
+    toks = _tokens(text, n, 4, decode=True)
+    if toks is None:
+        return False
+    try:
+        grades = list(map(plain.__getitem__, toks[3::5]))
+    except KeyError:
+        return False
+    docs, a = toks[2::5], 0
+    for query, run in groupby(toks[0::5]):
+        b = a + len(list(run))
+        grades_of, judged = dict(zip(docs[a:b], grades[a:b])), by_query.get(query, {})
+        if len(grades_of) < b - a or not judged.keys().isdisjoint(grades_of.keys()):
+            return False
+        by_query.setdefault(query, grades_of).update(grades_of)  # a dict updating itself: a no-op
+        a = b
+    return True
 
 
 def write_run_file(runs: RunSet, sink: IO[str]) -> None:
@@ -565,16 +623,7 @@ def load_runs(path: str | Path, strict_scores: bool = False, *,
     keep = None if judged is None else judged._kept(strict_scores)
     segments: _Segments = {}
     for source, f in enumerate(files):
-        digest = hashlib.sha256()
-        with open(f, "rb") as fh:
-            try:
-                _read_runs(_file_reads(fh, digest), segments, source, keep)
-            except UnicodeDecodeError as exc:
-                raise _decode_error(f, exc) from exc
-            except ParseError as exc:
-                raise ParseError(f"{f.name}: {exc}") from exc
-        if digests is not None:
-            digests[f.name] = digest.hexdigest()
+        _read_file(f, lambda reads: _read_runs(reads, segments, source, keep), digests)
     names = [f.name for f in files]
     return RunSet._from_columns(_checked(segments, strict_scores, names))
 
@@ -598,15 +647,27 @@ def _lf(data: bytes) -> bytes:
     return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
 
 
-def load_judgments(path: str | Path, grade_map: Mapping[int, Relevance] | None = None) -> JudgmentSet:
-    path = Path(path)
-    with open(path, "r", encoding="utf-8-sig") as fh:
+def load_judgments(path: str | Path, grade_map: Mapping[int, Relevance] | None = None, *,
+                   digests: dict[str, str] | None = None) -> JudgmentSet:
+    """Load a judgment file, read once as `parse_judgments` reads a stream; an error names the
+    file. `digests`, when given, receives the SHA-256 of its bytes by file name, hashed as read."""
+    return _read_file(Path(path), lambda reads: _read_judgments(reads, grade_map), digests)
+
+
+def _read_file(path: Path, read: Callable[[Iterator[bytes]], Any], digests: dict | None) -> Any:
+    """`read` of the file's reads, hashed as read; an error names the file, and `digests`,
+    when given, receives the SHA-256 of the file's bytes by file name."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
         try:
-            return parse_judgments(fh, grade_map)
+            result = read(_file_reads(fh, digest))
         except UnicodeDecodeError as exc:
             raise _decode_error(path, exc) from exc
         except (ParseError, ValidationError, ConfigError) as exc:
             raise type(exc)(f"{path.name}: {exc}") from exc
+    if digests is not None:
+        digests[path.name] = digest.hexdigest()
+    return result
 
 
 def _decode_error(path: Path, exc: UnicodeDecodeError) -> ParseError:

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -535,7 +537,7 @@ def test_each_run_file_is_read_once_and_hashed_as_read(tmp_path, monkeypatch, ca
     monkeypatch.setattr(Path, "read_bytes", None)
     argv = ["--runs", str(runs_dir), "--qrels", str(qrels), "--depth", "10", "--format", "json"]
     assert main(argv) == 0
-    assert sorted(opened) == ["qrels.txt", "qrels.txt", "s1.txt", "s2.txt"]
+    assert sorted(opened) == ["qrels.txt", "s1.txt", "s2.txt"]
     inputs = json.loads(capsys.readouterr().out)["metadata"]["inputs"]
     monkeypatch.undo()
     assert inputs == {
@@ -721,3 +723,22 @@ def test_reports_render_byte_for_byte(fmt, with_metadata, with_per_query):
     out = render_ranking(GOLDEN_TABLE, fmt, GOLDEN_METADATA if with_metadata else None,
                          GOLDEN_MATRIX if with_per_query else None)
     assert out == _golden(fmt, with_metadata, with_per_query)
+
+
+def test_csv_cells_with_commas_and_quotes_read_back_whole(tmp_path, capsys):
+    runs = tmp_path / "runs.txt"
+    runs.write_text('q,1 0 d1 1 0.9 s,1\nq,1 0 d2 2 0.8 s,1\n'
+                    'q,1 0 d2 1 0.9 s"2\nq,1 0 d3 2 0.8 s"2\n')
+    qrels = tmp_path / "qrels.txt"
+    qrels.write_text("q,1 0 d1 2\nq,1 0 d2 2\n")
+    assert main(["--runs", str(runs), "--qrels", str(qrels), "--depth", "10", "--per-query",
+                 "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    data = "".join(line for line in out.splitlines(keepends=True) if not line.startswith("#"))
+    ranking, per_query = (list(csv.reader(io.StringIO(table))) for table in data.split("\n\n"))
+    assert ranking[0] == list(cli._RANKING_HEADER)
+    assert all(len(row) == len(ranking[0]) for row in ranking)
+    assert sorted(row[0] for row in ranking[1:]) == ["s\"2", "s,1"]
+    assert per_query[0] == ["system", "q,1"]
+    assert all(len(row) == 2 for row in per_query)
+    assert sorted(row[0] for row in per_query[1:]) == ["s\"2", "s,1"]

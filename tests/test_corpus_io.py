@@ -14,6 +14,7 @@ from noveval import (
     RunEntry,
     RunSet,
     ValidationError,
+    load_judgments,
     load_runs,
     parse_judgments,
     parse_run_file,
@@ -601,6 +602,118 @@ def test_tokenizer_edges_at_every_chunk_size(tmp_path, monkeypatch, text, expect
     with pytest.raises(ParseError) as info:
         _load_both(path, judgments)
     assert str(info.value) == f"runs.txt: {expected}"
+
+
+# The qrels reader against a line-at-a-time reader, at every chunk size
+
+
+def _line_read_judgments(data: bytes, grade_map) -> JudgmentSet:
+    """What a reader of one line at a time makes of a qrels file's bytes: each line of a
+    text-mode read (BOM dropped, CR and CRLF ending lines), split on whitespace."""
+    grades = {}
+    for lineno, line in enumerate(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig"), 1):
+        fields = line.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        if len(fields) != 4:
+            raise ParseError(f"expected 4 whitespace-separated fields, got {len(fields)}", lineno)
+        query, _, doc, grade_s = fields
+        try:
+            value = int(grade_s)
+        except ValueError:
+            raise ParseError(f"grade is not an integer: {grade_s!r}", lineno) from None
+        if value not in grade_map:
+            raise ConfigError(f"line {lineno}: grade value {value} has no mapping "
+                              f"(known: {sorted(grade_map)})")
+        if grades.setdefault((query, doc), grade_map[value]) is not grade_map[value]:
+            raise ValidationError(
+                f"conflicting grades for query {query!r}, doc {doc!r} (line {lineno})")
+    return JudgmentSet(grades)
+
+
+_MANY = "".join(f"q{i % 3} 0 d{i // 3} {i % 3}\n" for i in range(120))  # 3 queries in turn
+_BY_QUERY = "".join(f"q{q} 0 d{i} {(i + q) % 3}\n" for q in range(3) for i in range(40))
+
+
+@pytest.mark.parametrize(
+    "text,grade_map",
+    [
+        ("q1\t0\td1\t2\nq1  0   d2 \t 1\n\tq2 0 d1 0  \n", None),
+        ("# judged by hand\nq1 0 d1 2\n\n   \n\t\nq1 0 d2 1\n# q1 0 d3 2\n", None),
+        ("q1 0 d1 2\rq1 0 d2 1\rq2 0 d1 0\r", None),
+        ("q1 0 d1 2\r\nq1 0 d2 1\r\nq2 0 d1 0\r\n", None),
+        ("\ufeffq1 0 d1 2\nq1 0 d2 1\n", None),
+        ("q1 0 d\x001 2\nq1 0 d2 1\n", None),
+        ("q1 0 d1 2\nq1 0 d\x1c2 1\n", None),
+        ("q1 0 d\x1f1 2\n", None),
+        ("q1 0 d\u00e91 2\nq1 0 d2 1\n", None),
+        ("q1 0 d1 02\nq1 0 d2 +1\nq1 0 d3 0\n", None),
+        ("q1 0 d1 2\nq1 0 d2 1_0\n", None),
+        ("q1 0 d1 2\nq1 0 d2 3\n", None),
+        ("q1 0 d1 2\nq1 0 d2 two\n", None),
+        ("q1 0 d1 2\nq1 0 d2 -1\nq1 0 d3 7\n",
+         {7: Relevance.RELEVANT, -1: Relevance.IRRELEVANT, 2: Relevance.PARTIALLY_RELEVANT}),
+        ("q1 0 d1 0\nq1 0 d2 2\n", {2.5: Relevance.RELEVANT, 0: Relevance.IRRELEVANT}),
+        ("q1 0 d1 2\nq1 0 d2 1\nq1 0 d1 2\n", None),
+        ("q1 0 d1 2\nq1 0 d2 1\nq1 0 d1 0\n", None),
+        (_BY_QUERY + "q0 0 d5 2\n" + _BY_QUERY, None),
+        (_BY_QUERY + "q2 0 d7 2\n", None),
+        (_MANY, None),
+        (_MANY + _MANY.replace(" 0\n", " 1\n"), None),
+        ("q1 0 d1 2\nq1 0 d2 1", None),
+        ("q1 0 d1 2\nq1 0 d2\n", None),
+        ("q1 0 d1 2\nq1 0 d2 1 x\n", None),
+    ],
+    ids=["tabs_and_spaces", "blank_and_comment", "cr", "crlf", "bom", "nul_doc", "x1c_doc",
+         "x1f_doc", "non_ascii_doc", "zero_and_plus_grades", "underscore_grade",
+         "unmapped_grade", "word_grade", "custom_map", "float_key_map", "same_grade_duplicate",
+         "conflict_near", "same_grade_far", "conflict_far", "queries_not_grouped",
+         "queries_not_grouped_conflict", "no_final_newline", "three_fields", "five_fields"],
+)
+@pytest.mark.parametrize("chunk_chars", [1, 7, 40, 333, 1 << 16])
+def test_qrels_layouts_at_every_chunk_size(tmp_path, monkeypatch, text, grade_map, chunk_chars):
+    """Each layout loads as the line reader reads it, or fails with its error, through
+    `load_judgments` (which also hashes the file's bytes) and through `parse_judgments`."""
+    data = text.encode()
+    path = tmp_path / "qrels.txt"
+    path.write_bytes(data)
+    monkeypatch.setattr(corpus_io, "_CHUNK_CHARS", chunk_chars)
+    try:
+        expected = _line_read_judgments(data, grade_map or corpus_io.DEFAULT_GRADE_MAP)
+    except (ParseError, ValidationError, ConfigError) as exc:
+        with pytest.raises(type(exc)) as info:
+            load_judgments(path, grade_map)
+        assert str(info.value) == f"qrels.txt: {exc}"
+        with pytest.raises(type(exc)) as info:
+            with open(path, encoding="utf-8-sig") as fh:
+                parse_judgments(fh, grade_map)
+        assert str(info.value) == str(exc)
+        return
+    digests = {}
+    loaded = load_judgments(path, grade_map, digests=digests)
+    assert loaded == expected
+    assert digests == {"qrels.txt": hashlib.sha256(data).hexdigest()}
+    with open(path, encoding="utf-8-sig") as fh:
+        assert parse_judgments(fh, grade_map) == expected
+    for query in expected.queries() + ["no-such-query"]:
+        for partial in (False, True):
+            assert loaded.relevant_docs(query, partial) == expected.relevant_docs(query, partial)
+
+
+def test_plain_qrels_skip_the_line_loop(tmp_path, monkeypatch):
+    """Chunks of 4 fields a line with grades in plain digits, in query runs or not, are
+    stored without the line loop, which reads only the blank end of the input."""
+    path = tmp_path / "qrels.txt"
+    path.write_text(_BY_QUERY + _MANY.replace(" d", " e"))
+    expected = _line_read_judgments(path.read_bytes(), corpus_io.DEFAULT_GRADE_MAP)
+    seen = []
+    records = corpus_io._iter_records
+    monkeypatch.setattr(corpus_io, "_iter_records",
+                        lambda lines, *args: seen.extend(lines) or records(lines, *args))
+    for chunk_chars in (40, 333, 1 << 16):
+        monkeypatch.setattr(corpus_io, "_CHUNK_CHARS", chunk_chars)
+        assert load_judgments(path) == expected
+    assert "".join(seen).strip() == ""
 
 
 _GROUP = "for system 's1', query 'q1'"

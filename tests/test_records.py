@@ -102,7 +102,7 @@ def test_default_utility_scores_share_no_mutable_mapping():
 def test_importing_the_cli_loads_no_heavy_modules():
     """`import noveval.cli` adds none of these to a fresh interpreter's modules; a
     bare interpreter's own modules (which `site` may load) do not count."""
-    heavy = {"dataclasses", "inspect", "fractions", "decimal"}
+    heavy = {"dataclasses", "inspect", "fractions", "decimal", "json"}
     src = str(Path(noveval.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
 

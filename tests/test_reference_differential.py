@@ -9,6 +9,7 @@ irrelevant. Both scripts are loaded read-only from the checkout, as
 `test_tracer_contract.py` loads `tracer.py`.
 """
 
+import hashlib
 import importlib.util
 import json
 import math
@@ -88,3 +89,50 @@ def test_cli_scores_match_the_reference_and_the_oracle(corpus, capsys, shallower
             oracle = oracle_utility(runs, judgments, row["system"], config).total
             assert math.isclose(row["utility_score"], oracle, rel_tol=1e-9,
                                 abs_tol=1e-9 * expected.utility_mag[row["system"]])
+
+
+# Every floor case on purpose. On q1: system a alone finds r2 (a unique find, so the pool
+# floor), b misses r1 that the others retrieve (the system floor), no system retrieves r4,
+# and c and d rank alike, so their scores tie.
+FLOOR_RUNS = {
+    "a": {"q1": ["r2", "r1", "n1", "x1"], "q2": ["s1", "s2"]},
+    "b": {"q1": ["n1", "x2", "r3"], "q2": ["s2", "s1"]},
+    "c": {"q1": ["r1", "r3", "n1"], "q2": ["s1"]},
+    "d": {"q1": ["r1", "r3", "n1"], "q2": ["s1"]},
+}
+FLOOR_QRELS = {"q1": {"r1": 2, "r2": 2, "r3": 2, "r4": 2, "p1": 1, "n1": 0},
+               "q2": {"s1": 2, "s2": 2, "n2": 0}}
+
+
+@pytest.mark.parametrize(
+    "options,cli_options",
+    [({}, []), ({"epsilon": 0.001}, ["--epsilon-policy", "custom:0.001"])],
+    ids=["default_floors", "custom_epsilon"],
+)
+def test_floor_cases_match_the_reference_and_the_oracle(tmp_path, capsys, options, cli_options):
+    runs, qrels = tmp_path / "runs.txt", tmp_path / "qrels.txt"
+    runs.write_text("".join(
+        f"{q} 0 {doc} {rank} {1 / rank} {system}\n"
+        for system, by_query in FLOOR_RUNS.items() for q, docs in by_query.items()
+        for rank, doc in enumerate(docs, 1)))
+    qrels.write_text("".join(f"{q} 0 {doc} {grade}\n"
+                             for q, grades in FLOOR_QRELS.items() for doc, grade in grades.items()))
+    depth = 10
+    opt = reference.Options(depth, **options)
+    assert main(["--runs", str(runs), "--qrels", str(qrels), "--depth", str(depth),
+                 "--format", "json", "--per-query", *cli_options]) == 0
+    text = capsys.readouterr().out
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for name, path in (("runs", runs), ("qrels", qrels))}
+    expected = reference.expected(reference.read_judged_ranks([runs], qrels), opt)
+    assert reference.check_eval_output(text, "json", True, expected, opt, digests) == []
+
+    ranking = {row["system"]: row for row in json.loads(text)["ranking"]}
+    assert ranking["c"]["utility_score"] == ranking["d"]["utility_score"]
+    assert ranking["c"]["ap_score"] == ranking["d"]["ap_score"]
+    config = EvalConfig(depth_n=depth, epsilon_custom=opt.epsilon)
+    run_set, judgments = load_runs(runs), load_judgments(qrels)
+    for system, row in ranking.items():
+        oracle = oracle_utility(run_set, judgments, system, config).total
+        assert math.isclose(row["utility_score"], oracle, rel_tol=1e-9,
+                            abs_tol=1e-9 * expected.utility_mag[system])
