@@ -25,8 +25,11 @@ and key changes, packs each segment's document ids into one string and, for
 relevant (the one test of a row against J). One group check, which `RunSet(entries)`
 shares, is the only place that joins a group's segments; it decides what is valid and
 what every error says, then stores the whole group or only the noted rows (every
-group's key stays). The judgment reader splits the same chunks the same way, and reads any
-other chunk line by line. `JudgmentSet` indexes its grades and relevant documents by query.
+group's key stays). `load_runs` runs it on each file's groups when that file ends, and
+on a group that crosses files after a second read of only the files that hold it, so
+it holds one file's segments and one chunk's tokens at a time. The judgment reader
+splits the same chunks the same way, and reads any other chunk line by line.
+`JudgmentSet` indexes its grades and relevant documents by query.
 
 All parsed structures are immutable after construction and safe to share
 across threads.
@@ -74,7 +77,7 @@ _NO_GROUP = ((), (), ())
 class _Segment(NamedTuple):
     """Rows of one (system, query) group from one input, in input order."""
     docs: str | tuple[str, ...]  # " "-joined; a tuple for entries, whose ids may hold spaces
-    scores: array | tuple[float, ...]  # every row's, or only the kept rows' (see _checked)
+    scores: array | tuple[float, ...]  # every row's, or only the kept rows' (see _group)
     ranks: range | tuple[int, ...]  # a range when they count up by one
     source: int  # the input's number
     line: int | None  # of the first row (the rows are consecutive lines)
@@ -223,83 +226,97 @@ def _plain_first(tokens: list[bytes]) -> int | None:
     return first if tokens == plain[first - 1:stop] else None
 
 
-def _checked(segments: _Segments, strict_scores: bool,
-             names: list[str] | None = None) -> _RunColumns:
+def _checked(segments: _Segments, strict_scores: bool, names: list[str] | None = None,
+             held: dict[tuple[str, str], ValidationError] | None = None) -> _RunColumns:
     """Join each group's segments into (docs, ranks, scores) columns in rank order.
 
     This is the one place where a group's segments are joined; it pops them
     from `segments` as it goes and unpacks one group's documents at a time, so
-    no group is held twice. Segments whose ranks chain 1..n are joined as they
-    are, others merged by rank. Groups are checked in first-appearance order,
-    each for: a document twice in one input (named by the line of its second
-    copy), a duplicate rank (with that line, when the group lies in one input),
-    a gap, a document twice across inputs or entries, and in strict mode a
-    score that rises. Errors start with the `names` of its inputs. A group is
-    stored whole, or, from a judged read, whose segments hold the offsets of
-    their kept rows, only those rows; its segments then hold every row's score
-    only under `strict_scores`, else only the kept rows'.
+    no group is held twice. Groups are checked in first-appearance order; the
+    first error is raised, or, given `held`, each group's error is stored there
+    by key (without its traceback, which would keep the group's columns alive)
+    and the check goes on.
     """
     groups: _RunColumns = {}
     for key in list(segments):
-        segs = segments.pop(key)
-        what = f"system {_echo(key[0])}, query {_echo(key[1])}"
-        sources = list(dict.fromkeys(seg.source for seg in segs))
-        where = "" if names is None else ", ".join(names[s] for s in sources) + ": "
-        lines_known = segs[0].line is not None
-        parts = [seg.docs.split(" ") if lines_known else seg.docs for seg in segs]
-        docs = _joined(parts)  # in input order
-        for source in sources if lines_known else ():  # a document twice in one input
-            own = [i for i, seg in enumerate(segs) if seg.source == source]
-            own_docs = docs if len(sources) == 1 else _joined([parts[i] for i in own])
-            at = _first_repeat(own_docs)
-            if at is not None:
-                line = _joined([range(segs[i].line, segs[i].line + len(parts[i])) for i in own])[at]
-                named = "" if names is None else f"{names[source]}: "
-                raise ValidationError(
-                    f"{named}duplicate document {_echo(own_docs[at])} for {what} (line {line})"
-                )
-        judged = segs[0].kept is not None
-        every_score = strict_scores or not judged
-        firsts = accumulate(map(len, parts), initial=1)
-        if all(seg.ranks == range(r, r + len(part)) for seg, part, r in zip(segs, parts, firsts)):
-            scores = _joined([seg.scores for seg in segs])
-        else:
-            by_rank: dict[int, tuple[str, float | None]] = {}
-            for part, (_, seg_scores, ranks, _, line, _) in zip(parts, segs):
-                row_scores = seg_scores if every_score else repeat(None)  # None: not held
-                for i, rank, doc, score in zip(count(), ranks, part, row_scores):
-                    if rank in by_rank:
-                        at_line = f" (line {line + i})" if lines_known and len(sources) == 1 else ""
-                        raise ValidationError(
-                            f"{where}duplicate rank {_echo(str(rank), str)} for {what}{at_line}"
-                        )
-                    by_rank[rank] = doc, score
-            n = len(by_rank)
-            missing = sorted(set(range(1, n + 1)).difference(by_rank))
-            if missing:
-                raise ValidationError(
-                    f"{where}ranks for {what} are not contiguous 1..{n} (missing {missing[:5]})"
-                )
-            docs, scores = zip(*(by_rank[r] for r in range(1, n + 1)))
-        if len(sources) > 1 or not lines_known:  # else checked within its one input
-            at = _first_repeat(docs)
-            if at is not None:
-                raise ValidationError(f"{where}duplicate document {_echo(docs[at])} for {what}")
-        if strict_scores:
-            rank = next(compress(count(1), map(operator.lt, scores, scores[1:])), None)
-            if rank is not None:
-                raise ValidationError(f"{where}score increases from rank {rank} to {rank + 1} "
-                                      f"for {what} (strict mode)")
-        if not judged:
-            groups[key] = tuple(docs), range(1, len(docs) + 1), tuple(scores)
-            continue
-        kept = sorted(  # (rank, doc, score) of each kept row
-            (seg.ranks[i], part[i], score) for seg, part in zip(segs, parts)
-            for i, score in zip(seg.kept, map(seg.scores.__getitem__, seg.kept)
-                                if every_score else seg.scores))
-        ranks, docs, scores = zip(*kept) if kept else _NO_GROUP
-        groups[key] = docs, ranks, scores
+        try:
+            groups[key] = _group(key, segments.pop(key), strict_scores, names)
+        except ValidationError as exc:
+            if held is None:
+                raise
+            held[key] = exc.with_traceback(None)
     return groups
+
+
+def _group(key: tuple[str, str], segs: list[_Segment], strict_scores: bool,
+           names: list[str] | None) -> tuple[Sequence[str], Sequence[int], Sequence[float]]:
+    """One group's (docs, ranks, scores) columns in rank order, checked.
+
+    Segments whose ranks chain 1..n are joined as they are, others merged by rank.
+    The group is checked for: a document twice in one input (named by the line of
+    its second copy), a duplicate rank (with that line, when the group lies in one
+    input), a gap, a document twice across inputs or entries, and in strict mode a
+    score that rises. Errors start with the `names` of its inputs. A group is
+    stored whole, or, from a judged read, whose segments hold the offsets of their
+    kept rows, only those rows; its segments then hold every row's score only under
+    `strict_scores`, else only the kept rows'.
+    """
+    what = f"system {_echo(key[0])}, query {_echo(key[1])}"
+    sources = list(dict.fromkeys(seg.source for seg in segs))
+    where = "" if names is None else ", ".join(names[s] for s in sources) + ": "
+    lines_known = segs[0].line is not None
+    parts = [seg.docs.split(" ") if lines_known else seg.docs for seg in segs]
+    docs = _joined(parts)  # in input order
+    for source in sources if lines_known else ():  # a document twice in one input
+        own = [i for i, seg in enumerate(segs) if seg.source == source]
+        own_docs = docs if len(sources) == 1 else _joined([parts[i] for i in own])
+        at = _first_repeat(own_docs)
+        if at is not None:
+            line = _joined([range(segs[i].line, segs[i].line + len(parts[i])) for i in own])[at]
+            named = "" if names is None else f"{names[source]}: "
+            raise ValidationError(
+                f"{named}duplicate document {_echo(own_docs[at])} for {what} (line {line})"
+            )
+    judged = segs[0].kept is not None
+    every_score = strict_scores or not judged
+    firsts = accumulate(map(len, parts), initial=1)
+    if all(seg.ranks == range(r, r + len(part)) for seg, part, r in zip(segs, parts, firsts)):
+        scores = _joined([seg.scores for seg in segs])
+    else:
+        by_rank: dict[int, tuple[str, float | None]] = {}
+        for part, (_, seg_scores, ranks, _, line, _) in zip(parts, segs):
+            row_scores = seg_scores if every_score else repeat(None)  # None: not held
+            for i, rank, doc, score in zip(count(), ranks, part, row_scores):
+                if rank in by_rank:
+                    at_line = f" (line {line + i})" if lines_known and len(sources) == 1 else ""
+                    raise ValidationError(
+                        f"{where}duplicate rank {_echo(str(rank), str)} for {what}{at_line}"
+                    )
+                by_rank[rank] = doc, score
+        n = len(by_rank)
+        missing = sorted(set(range(1, n + 1)).difference(by_rank))
+        if missing:
+            raise ValidationError(
+                f"{where}ranks for {what} are not contiguous 1..{n} (missing {missing[:5]})"
+            )
+        docs, scores = zip(*(by_rank[r] for r in range(1, n + 1)))
+    if len(sources) > 1 or not lines_known:  # else checked within its one input
+        at = _first_repeat(docs)
+        if at is not None:
+            raise ValidationError(f"{where}duplicate document {_echo(docs[at])} for {what}")
+    if strict_scores:
+        rank = next(compress(count(1), map(operator.lt, scores, scores[1:])), None)
+        if rank is not None:
+            raise ValidationError(f"{where}score increases from rank {rank} to {rank + 1} "
+                                  f"for {what} (strict mode)")
+    if not judged:
+        return tuple(docs), range(1, len(docs) + 1), tuple(scores)
+    kept = sorted(  # (rank, doc, score) of each kept row
+        (seg.ranks[i], part[i], score) for seg, part in zip(segs, parts)
+        for i, score in zip(seg.kept, map(seg.scores.__getitem__, seg.kept)
+                            if every_score else seg.scores))
+    ranks, docs, scores = zip(*kept) if kept else _NO_GROUP
+    return docs, ranks, scores
 
 
 def _joined(parts: list[tuple]) -> tuple:
@@ -399,13 +416,31 @@ def _iter_records(
 def parse_run_file(stream: IO[str], strict_scores: bool = False) -> RunSet:
     """Parse a 6-column run file; may contain any number of systems."""
     segments: _Segments = {}
-    _read_runs((read.encode() for read in iter(lambda: stream.read(_CHUNK_CHARS), "")),
-               segments, 0)
+    _read_runs(_stream_reads(stream), segments, 0)
     return RunSet._from_columns(_checked(segments, strict_scores))
 
 
-#: Bytes of a run file (characters of a text stream) read at a time.
-_CHUNK_CHARS = 1 << 16
+def _stream_reads(stream: IO[str]) -> Iterator[bytes]:
+    """The reads of a text stream as UTF-8; a character that does not encode (a lone
+    surrogate) raises a ParseError that names its line."""
+    lineno = 1
+    for read in iter(lambda: stream.read(_CHUNK_CHARS), ""):
+        try:
+            data = read.encode()
+        except UnicodeEncodeError as exc:
+            raise ParseError(f"not encodable as UTF-8 ({exc.reason})",
+                             lineno + read.count("\n", 0, exc.start)) from None
+        lineno += read.count("\n")
+        yield data
+
+
+#: Bytes of a run or qrels file (characters of a text stream) read at a time. Since
+#: `load_runs` holds one file's segments, one chunk's tokens set the rest of its peak.
+#: Judged `load_runs` in-process against 64 KiB (Python 3.11, one pinned core): 32 KiB
+#: took 0.99x on deep-runs, 1.00x on pool-wide and 0.97x on the 130 x 50 x 1000 corpus,
+#: 16 KiB 1.01x / 1.02x / 0.99x, 8 KiB 1.07x / 1.08x; deep-runs CLI peak RSS was 20.8 MB
+#: at 64 KiB, 20.1 at 32 KiB, 19.8 at 16 KiB. 32 KiB is the smallest no slower on any.
+_CHUNK_CHARS = 1 << 15
 
 #: Bytes that keep a chunk from the byte split: "#" and NUL, which its checks cannot
 #: tell from data, and the separators that str.split splits on and bytes.split does not.
@@ -522,7 +557,7 @@ def _raise_first_fault(lines: list[str], lineno: int) -> NoReturn:
 
 def parse_judgments(stream: IO[str], grade_map: Mapping[int, Relevance] | None = None) -> JudgmentSet:
     """Parse a 4-column judgment file through `grade_map` (default 2/1/0)."""
-    return _read_judgments(iter(lambda: stream.read(_CHUNK_CHARS).encode(), b""), grade_map)
+    return _read_judgments(_stream_reads(stream), grade_map)
 
 
 def _read_judgments(reads: Iterable[bytes],
@@ -606,12 +641,17 @@ def load_runs(path: str | Path, strict_scores: bool = False, *,
               judged: JudgmentSet | None = None, digests: dict[str, str] | None = None) -> RunSet:
     """Load runs from a single file or from every regular file in a directory.
 
-    Each file is read once, in name order, by the run reader; a group may
-    continue from one file into another. A line error names its file and
-    line; a group error names the files that hold the group. With `judged`,
-    every group is checked whole but keeps only its rows of documents that
-    `judged` grades relevant or partially relevant. `digests`, when given,
-    receives the SHA-256 of each file's bytes by file name, hashed as read.
+    Each file is read, in name order, by the run reader, and its groups are
+    checked when it ends, so the reader holds one file's segments at a time. A
+    group may continue from one file into another: a key that a later file
+    holds again drops its earlier result, and such groups are checked whole at
+    the end, from a second read of only the files that hold them. A line error
+    names its file and line and is raised at once; group errors wait until
+    every file is read, and the first in first-appearance order is raised. It
+    names the files that hold the group. With `judged`, every group is checked
+    whole but keeps only its rows of documents that `judged` grades relevant or
+    partially relevant. `digests`, when given, receives the SHA-256 of each
+    file's bytes by file name, hashed as first read.
     """
     path = Path(path)
     if path.is_dir():
@@ -620,12 +660,32 @@ def load_runs(path: str | Path, strict_scores: bool = False, *,
             raise ConfigError(f"runs directory {path} contains no files")
     else:
         files = [path]
-    keep = None if judged is None else judged._kept(strict_scores)
-    segments: _Segments = {}
-    for source, f in enumerate(files):
-        _read_file(f, lambda reads: _read_runs(reads, segments, source, keep), digests)
     names = [f.name for f in files]
-    return RunSet._from_columns(_checked(segments, strict_scores, names))
+    keep = None if judged is None else judged._kept(strict_scores)
+    holders: dict[tuple[str, str], list[int]] = {}  # key -> its files, in first-appearance order
+    groups: _RunColumns = {}
+    held: dict[tuple[str, str], ValidationError] = {}
+    for source, f in enumerate(files):
+        segments: _Segments = {}
+        _read_file(f, lambda reads: _read_runs(reads, segments, source, keep), digests)
+        for key in list(segments):
+            holders.setdefault(key, []).append(source)
+            if len(holders[key]) > 1:  # a group across files
+                del segments[key]
+                groups.pop(key, None)
+                held.pop(key, None)
+        groups.update(_checked(segments, strict_scores, names, held))
+    across = {key for key, sources in holders.items() if len(sources) > 1}
+    segments = {}
+    for source in sorted({s for key in across for s in holders[key]}):
+        own: _Segments = {}
+        _read_file(files[source], lambda reads: _read_runs(reads, own, source, keep), None)
+        for key in filter(across.__contains__, own):
+            segments.setdefault(key, []).extend(own[key])
+    groups.update(_checked(segments, strict_scores, names, held))
+    if held:
+        raise next(held[key] for key in holders if key in held)
+    return RunSet._from_columns(groups)
 
 
 def _file_reads(fh: IO[bytes], digest) -> Iterator[bytes]:

@@ -2,7 +2,8 @@ import hashlib
 import io
 import json
 import random
-from itertools import compress, cycle
+import tracemalloc
+from itertools import combinations, compress, cycle
 from pathlib import Path
 
 import pytest
@@ -218,6 +219,20 @@ def test_judgment_comments_and_blank_lines_are_skipped():
     assert str(info.value) == "line 9: grade is not an integer: 'two'"
 
 
+@pytest.mark.parametrize(
+    "read,text",
+    [(parse_judgments, "q 0 d1 2\n\nq 0 d\udcff 2\n"),
+     (parse_run_file, "q 0 d1 1 0.5 s\n\nq 0 d\udcff 2 0.4 s\n")],
+    ids=["judgments", "runs"],
+)
+@pytest.mark.parametrize("chunk_chars", [1, 7, 1 << 16])
+def test_lone_surrogate_in_a_stream_names_its_line(monkeypatch, read, text, chunk_chars):
+    monkeypatch.setattr(corpus_io, "_CHUNK_CHARS", chunk_chars)
+    with pytest.raises(ParseError) as info:
+        read(io.StringIO(text))
+    assert str(info.value) == "line 3: not encodable as UTF-8 (surrogates not allowed)"
+
+
 def test_judgment_round_trip():
     js = parse_judgments(io.StringIO("1001 0 d1 2\n1001 0 d2 1\n1002 0 d1 0\n"))
     sink = io.StringIO()
@@ -344,7 +359,9 @@ def test_each_run_file_is_opened_once(tmp_path, monkeypatch, form):
     monkeypatch.setattr(corpus_io, "open", recording_open, raising=False)
     assert load_runs(path) == reference
     files = sorted(p.name for p in path.iterdir()) if path.is_dir() else [path.name]
-    assert opened == files
+    # Both files of split_group hold the group that crosses them, so both are read
+    # again, once each, for its check; every other layout reads each file once.
+    assert opened == (files + files if form == "split_group" else files)
 
 
 def test_group_read_by_the_line_parser_sends_later_files_to_it(tmp_path):
@@ -363,6 +380,124 @@ def test_errors_keep_file_order_across_both_paths(tmp_path):
     with pytest.raises(ValidationError) as info:
         load_runs(tmp_path)
     assert str(info.value) == "a.txt, b.txt: duplicate document 'd1' for system 's1', query 'q1'"
+
+
+def _write_dir(path: Path, texts: dict[str, str]) -> Path:
+    path.mkdir()
+    for name, text in texts.items():
+        (path / name).write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 40, 1 << 16])
+@pytest.mark.parametrize("n_files", [2, 3])
+def test_group_split_across_files_at_every_rank(tmp_path, monkeypatch, n_files, chunk_chars):
+    """The group (s1, q1) cut into n_files pieces at every rank, one piece a file, in rank
+    order or reversed, beside groups that each lie in one file: whole and judged, each
+    layout loads as the entries that made it."""
+    monkeypatch.setattr(corpus_io, "_CHUNK_CHARS", chunk_chars)
+    split = [RunEntry("q1", f"d{r}", r, 1.0 - r / 10, "s1") for r in range(1, 7)]
+    others = [[RunEntry(q, f"d{r}", r, 1.0 - r / 10, s) for r in range(1, 4)]
+              for s, q in (("s0", "q1"), ("s1", "q2"), ("s2", "q1"))]
+    expected = RunSet(split + [e for group in others for e in group])
+    judgments = _graded(split[::2] + others[0])
+    layouts = 0
+    for cuts in combinations(range(1, len(split)), n_files - 1):
+        pieces = [split[a:b] for a, b in zip((0, *cuts), (*cuts, len(split)))]
+        for order in (pieces, pieces[::-1]):
+            texts = {f"f{i}.txt": "".join(line + "\n" for line in _run_lines(
+                piece + [e for group in others[i::n_files] for e in group]))
+                for i, piece in enumerate(order)}
+            path = _write_dir(tmp_path / f"layout{layouts}", texts)
+            assert _load_both(path, judgments) == expected, texts
+            layouts += 1
+
+
+def test_gap_that_a_later_file_fills_loads(tmp_path):
+    path = _write_dir(tmp_path / "runs", {"a.txt": "q1 0 d1 1 0.9 s1\nq1 0 d3 3 0.7 s1\n",
+                                          "b.txt": "q1 0 d2 2 0.8 s1\n"})
+    assert load_runs(path).ranking("s1", "q1") == {"d1": 1, "d2": 2, "d3": 3}
+
+
+def test_a_line_error_comes_before_an_earlier_files_group_error(tmp_path):
+    path = _write_dir(tmp_path / "runs", {"a.txt": "q1 0 d1 1 0.9 s1\nq1 0 d3 3 0.7 s1\n",
+                                          "b.txt": "q2 0 d1 1 0.9 s1\nq2 0 d2 two 0.8 s1\n"})
+    with pytest.raises(ParseError) as info:
+        load_runs(path)
+    assert str(info.value) == "b.txt: line 2: rank is not an integer: 'two'"
+
+
+@pytest.mark.parametrize(
+    "texts,message",
+    [
+        # Only the files that hold the group are named.
+        ({"a.txt": "q1 0 d1 1 0.9 s1\n", "b.txt": "q2 0 d1 1 0.9 s1\n",
+          "c.txt": "q1 0 d1 2 0.8 s1\n"},
+         "a.txt, c.txt: duplicate document 'd1' for system 's1', query 'q1'"),
+        # The group across files appears first, so its error wins over the one-file
+        # group's, which was found when a.txt ended.
+        ({"a.txt": "q1 0 d1 1 0.9 s1\nq2 0 d1 1 0.9 s1\nq2 0 d3 3 0.7 s1\n",
+          "b.txt": "q1 0 d1 2 0.8 s1\n"},
+         "a.txt, b.txt: duplicate document 'd1' for system 's1', query 'q1'"),
+        ({"a.txt": "q2 0 d1 1 0.9 s1\nq2 0 d3 3 0.7 s1\nq1 0 d1 1 0.9 s1\n",
+          "b.txt": "q1 0 d1 2 0.8 s1\n"},
+         "a.txt: ranks for system 's1', query 'q2' are not contiguous 1..2 (missing [2])"),
+        # An error in a.txt's part of a group that b.txt continues waits for the whole group.
+        ({"a.txt": "q1 0 d1 1 0.9 s1\nq1 0 d1 2 0.8 s1\n", "b.txt": "q1 0 d3 3 0.7 s1\n"},
+         "a.txt: duplicate document 'd1' for system 's1', query 'q1' (line 2)"),
+    ],
+    ids=["names_its_files", "first_group_across_files", "first_group_in_one_file",
+         "part_error_in_a_group_across_files"],
+)
+def test_group_errors_across_files_in_first_appearance_order(tmp_path, texts, message):
+    path = _write_dir(tmp_path / "runs", texts)
+    with pytest.raises(ValidationError) as info:
+        _load_both(path, _graded([_E1, _E2]))
+    assert str(info.value) == message
+
+
+def test_digests_come_from_the_first_read_of_a_file_read_again(tmp_path, monkeypatch):
+    texts = {"a.txt": "\ufeffq1 0 d1 1 0.9 s1\r\nq2 0 d1 1 0.9 s1\r\n",
+             "b.txt": "q1 0 d2 2 0.8 s1\n", "c.txt": "q3 0 d1 1 0.9 s1\n"}
+    path = _write_dir(tmp_path / "runs", texts)
+    opened = []
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(Path(file).name)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(corpus_io, "open", recording_open, raising=False)
+    digests = {}
+    assert len(load_runs(path, digests=digests)) == 4
+    assert opened == ["a.txt", "b.txt", "c.txt", "a.txt", "b.txt"]
+    assert digests == {name: hashlib.sha256((path / name).read_bytes()).hexdigest()
+                       for name in texts}
+
+
+def test_judged_read_memory_is_bounded_by_one_file(tmp_path):
+    """The peak of a judged load over 64 one-system files stays near that over 4: each file's
+    segments are dropped when it ends, and only its few kept rows stay."""
+    queries, depth = ("q0", "q1"), 1000
+    judgments = JudgmentSet({(q, f"doc-{q}-{r:05d}"): Relevance.RELEVANT
+                             for q in queries for r in range(1, 11)})
+    dirs = [tmp_path / "runs4", tmp_path / "runs64"]
+    for runs, n_files in zip(dirs, (4, 64)):
+        runs.mkdir()
+        for k in range(n_files):  # 10007 is prime, so each group's documents differ
+            (runs / f"s{k:02d}.txt").write_text("".join(
+                f"{q} 0 doc-{q}-{r * (2 * k + 1) % 10007:05d} {r} {1 - r / 10000} s{k:02d}\n"
+                for q in queries for r in range(1, depth + 1)))
+    load_runs(dirs[0], judged=judgments)  # module memos fill outside the traced loads
+    peaks = []
+    for runs, n_files in zip(dirs, (4, 64)):
+        tracemalloc.start()
+        try:
+            assert load_runs(runs, judged=judgments).systems() == [
+                f"s{k:02d}" for k in range(n_files)]
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("chunk_chars", [1, 40, 333, 1000])
