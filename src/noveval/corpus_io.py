@@ -20,15 +20,19 @@ that is ASCII, without "#", NUL or \\x1c-\\x1f, as bytes with one `bytes.split`
 (a NUL token per newline proves 6 fields a line) and takes ranks that count up in
 plain digits by comparing tokens; any other chunk is decoded and split line by
 line. It cuts each chunk on its own into (system, query) segments, at rank-1 rows
-and key changes, packs each segment's document ids into one string and, for
-`load_runs(..., judged=J)`, notes its rows of documents J grades relevant or partially
-relevant (the one test of a row against J). One group check, which `RunSet(entries)`
-shares, is the only place that joins a group's segments; it decides what is valid and
-what every error says, then stores the whole group or only the noted rows (every
-group's key stays). `load_runs` runs it on each file's groups when that file ends, and
-on a group that crosses files after a second read of only the files that hold it, so
-it holds one file's segments and one chunk's tokens at a time. The judgment reader
-splits the same chunks the same way, and reads any other chunk line by line.
+and key changes, and packs each segment's document ids into one string. In
+`load_runs(..., judged=J)` it instead clears each segment's ids on the tokens it split
+(its group's set, carried across chunks, must grow by every id), notes the segment's
+rows of documents J grades relevant or partially relevant and holds only those rows'
+ids. An id twice, a key that comes back, or a segment that neither starts at rank 1
+nor continues the open group stops that file's read, and the file is read again from
+its start with every id packed. One group check, which `RunSet(entries)` shares, is
+the only place that joins a group's segments; it decides what is valid and what every
+error says, then stores the whole group or only the noted rows (every group's key
+stays). `load_runs` runs it on each file's groups when that file ends, and on a group
+that crosses files after a second read, every id packed, of only the files that hold
+it, so it holds one file's segments and one chunk's tokens at a time. The judgment
+reader splits the same chunks the same way, and reads any other chunk line by line.
 `JudgmentSet` indexes its grades and relevant documents by query.
 
 All parsed structures are immutable after construction and safe to share
@@ -76,7 +80,9 @@ _NO_GROUP = ((), (), ())
 
 class _Segment(NamedTuple):
     """Rows of one (system, query) group from one input, in input order."""
-    docs: str | tuple[str, ...]  # " "-joined; a tuple for entries, whose ids may hold spaces
+    # Every row's id, " "-joined; a tuple for entries, whose ids may hold spaces, and for a
+    # judged read that cleared its ids as it read them (see _clear), of the kept rows' only.
+    docs: str | tuple[str, ...]
     scores: array | tuple[float, ...]  # every row's, or only the kept rows' (see _group)
     ranks: range | tuple[int, ...]  # a range when they count up by one
     source: int  # the input's number
@@ -154,13 +160,14 @@ class RunSet:
 
 
 def _cut(segments: _Segments, columns: Sequence, source: int, first: int | None,
-         keep: _Keep | None = None) -> bool:
+         keep: _Keep | None = None, opened: list | None = None) -> bool:
     """Add the rows of the columns (queries, docs, ranks, scores, systems) to `segments`,
     cut at each rank 1 and then at each change of key; `first` is the line number of row 0,
     None for entries. Columns of bytes hold rank tokens: unless each segment's count up
     from its first in plain digits ("1", "2", ...), nothing is added and the result is
     False. With `keep`, a segment also holds the offsets of its rows of the kept documents,
-    which are tested here alone, and unless `keep.every_score` only those rows' scores."""
+    and unless `keep.every_score` only those rows' scores; with `opened` too, its ids are
+    cleared by `_clear`, and only the kept rows' ids are decoded and held."""
     queries, docs, ranks, scores, systems = columns
     raw = isinstance(ranks[0], bytes)
     one = b"1" if raw else 1
@@ -188,20 +195,60 @@ def _cut(segments: _Segments, columns: Sequence, source: int, first: int | None,
             cuts.append(counting if ranks[a:b] == list(counting) else tuple(ranks[a:b]))
     for a, b, seg_ranks in zip(bounds, bounds[1:], cuts):
         query, system, seg_docs, seg_scores = queries[a], systems[a], docs[a:b], scores[a:b]
+        wanted = keep and (keep.raw if raw else keep.text).get(query, frozenset())
+        if raw:
+            query, system = query.decode(), system.decode()
         kept = None
         if keep is not None:
-            wanted = (keep.raw if raw else keep.text).get(query, frozenset())
+            if opened is not None:
+                wanted = wanted.intersection(
+                    _clear(opened, segments, (system, query), seg_ranks, seg_docs))
             kept = array("I", compress(count(), map(wanted.__contains__, seg_docs)))
             if not keep.every_score:
                 seg_scores = map(seg_scores.__getitem__, kept)
-        if raw:
-            query, system, packed = query.decode(), system.decode(), b" ".join(seg_docs).decode()
+        if opened is not None:
+            kept_docs = map(seg_docs.__getitem__, kept)
+            packed = tuple(map(bytes.decode, kept_docs) if raw else kept_docs)
+        elif raw:
+            packed = b" ".join(seg_docs).decode()
         else:
             packed = tuple(seg_docs) if first is None else " ".join(seg_docs)
         segments.setdefault((system, query), []).append(_Segment(
             packed, tuple(seg_scores) if first is None else array("d", seg_scores), seg_ranks,
             source, None if first is None else first + a, kept))
     return True
+
+
+class _Unclear(Exception):
+    """Ids that a judged read cannot clear as it reads them (see `_clear`)."""
+
+
+def _clear(opened: list, segments: _Segments, key: tuple[str, str], ranks: range | tuple,
+           docs: Sequence) -> set:
+    """The ids of a segment's group read so far (tokens as split, bytes or text), once the
+    segment's are cleared: the segment starts a group at rank 1 whose key `segments` does
+    not hold yet, or continues the group `opened` by the segment before it ([key, next
+    rank, ids]; only a chunk's row 0 can, as a chunk is cut at each rank 1 and key change),
+    and adding its ids to the group's set leaves none there twice. The segment's group is
+    then `opened`. Any other segment raises `_Unclear`, and its input is read again with
+    every id held, for `_group` to judge: so an input that clears holds each group once,
+    in rank order from 1, with no id twice."""
+    if type(ranks) is not range:
+        raise _Unclear
+    if opened and opened[0] == key and ranks.start == opened[1]:
+        ids = opened[2]
+        if type(docs[0]) is not type(next(iter(ids))):  # one chunk split as bytes, one as text
+            ids = {d.decode() if isinstance(d, bytes) else d.encode() for d in ids}
+    elif ranks.start == 1 and key not in segments:
+        ids = set()
+    else:
+        raise _Unclear
+    held = len(ids)
+    ids.update(docs)
+    if len(ids) < held + len(docs):
+        raise _Unclear
+    opened[:] = key, ranks.stop, ids
+    return ids
 
 
 #: b"1", b"2", ...: rank tokens in plain digits. A memo of its length alone, replaced
@@ -254,44 +301,53 @@ def _group(key: tuple[str, str], segs: list[_Segment], strict_scores: bool,
 
     Segments whose ranks chain 1..n are joined as they are, others merged by rank.
     The group is checked for: a document twice in one input (named by the line of
-    its second copy), a duplicate rank (with that line, when the group lies in one
-    input), a gap, a document twice across inputs or entries, and in strict mode a
-    score that rises. Errors start with the `names` of its inputs. A group is
-    stored whole, or, from a judged read, whose segments hold the offsets of their
-    kept rows, only those rows; its segments then hold every row's score only under
-    `strict_scores`, else only the kept rows'.
+    its second copy), a duplicate rank, a gap, a document twice across inputs or
+    entries, and in strict mode a score that rises. A duplicate rank or document
+    names the line of the row that repeats it, and its input when the group lies in
+    more than one. Errors start with the `names` of its inputs. A group is stored
+    whole, or, from a judged read, whose segments hold the offsets of their kept rows,
+    only those rows; its segments then hold every row's score only under
+    `strict_scores`, else only the kept rows', and every row's id unless the read
+    cleared them (see `_clear`), which leaves no duplicate, gap or input but one.
     """
     what = f"system {_echo(key[0])}, query {_echo(key[1])}"
     sources = list(dict.fromkeys(seg.source for seg in segs))
     where = "" if names is None else ", ".join(names[s] for s in sources) + ": "
     lines_known = segs[0].line is not None
-    parts = [seg.docs.split(" ") if lines_known else seg.docs for seg in segs]
+    packed = isinstance(segs[0].docs, str)  # every row's id, else a cleared read's kept ones
+
+    def at(seg: _Segment, i: int) -> str:  # the line of a segment's row i, and its input's name
+        if not lines_known:                    # when the group lies in more than one
+            return ""
+        named = f"{names[seg.source]} " if len(sources) > 1 else ""
+        return f" ({named}line {seg.line + i})"
+
+    parts = [seg.docs.split(" ") for seg in segs] if packed else [seg.docs for seg in segs]
     docs = _joined(parts)  # in input order
-    for source in sources if lines_known else ():  # a document twice in one input
+    for source in sources if packed else ():  # a document twice in one input
         own = [i for i, seg in enumerate(segs) if seg.source == source]
         own_docs = docs if len(sources) == 1 else _joined([parts[i] for i in own])
-        at = _first_repeat(own_docs)
-        if at is not None:
-            line = _joined([range(segs[i].line, segs[i].line + len(parts[i])) for i in own])[at]
+        dup = _first_repeat(own_docs)
+        if dup is not None:
+            line = _joined([range(segs[i].line, segs[i].line + len(parts[i])) for i in own])[dup]
             named = "" if names is None else f"{names[source]}: "
             raise ValidationError(
-                f"{named}duplicate document {_echo(own_docs[at])} for {what} (line {line})"
+                f"{named}duplicate document {_echo(own_docs[dup])} for {what} (line {line})"
             )
     judged = segs[0].kept is not None
     every_score = strict_scores or not judged
-    firsts = accumulate(map(len, parts), initial=1)
-    if all(seg.ranks == range(r, r + len(part)) for seg, part, r in zip(segs, parts, firsts)):
+    seg_ranks = [seg.ranks for seg in segs]
+    firsts = accumulate(map(len, seg_ranks), initial=1)
+    if all(ranks == range(r, r + len(ranks)) for ranks, r in zip(seg_ranks, firsts)):
         scores = _joined([seg.scores for seg in segs])
     else:
         by_rank: dict[int, tuple[str, float | None]] = {}
-        for part, (_, seg_scores, ranks, _, line, _) in zip(parts, segs):
-            row_scores = seg_scores if every_score else repeat(None)  # None: not held
-            for i, rank, doc, score in zip(count(), ranks, part, row_scores):
+        for part, seg in zip(parts, segs):
+            row_scores = seg.scores if every_score else repeat(None)  # None: not held
+            for i, rank, doc, score in zip(count(), seg.ranks, part, row_scores):
                 if rank in by_rank:
-                    at_line = f" (line {line + i})" if lines_known and len(sources) == 1 else ""
                     raise ValidationError(
-                        f"{where}duplicate rank {_echo(str(rank), str)} for {what}{at_line}"
-                    )
+                        f"{where}duplicate rank {_echo(str(rank), str)} for {what}{at(seg, i)}")
                 by_rank[rank] = doc, score
         n = len(by_rank)
         missing = sorted(set(range(1, n + 1)).difference(by_rank))
@@ -301,9 +357,11 @@ def _group(key: tuple[str, str], segs: list[_Segment], strict_scores: bool,
             )
         docs, scores = zip(*(by_rank[r] for r in range(1, n + 1)))
     if len(sources) > 1 or not lines_known:  # else checked within its one input
-        at = _first_repeat(docs)
-        if at is not None:
-            raise ValidationError(f"{where}duplicate document {_echo(docs[at])} for {what}")
+        dup = _first_repeat(docs)  # at rank dup + 1
+        if dup is not None:
+            seg = next(seg for seg in segs if dup + 1 in seg.ranks)
+            raise ValidationError(f"{where}duplicate document {_echo(docs[dup])} for {what}"
+                                  f"{at(seg, seg.ranks.index(dup + 1))}")
     if strict_scores:
         rank = next(compress(count(1), map(operator.lt, scores, scores[1:])), None)
         if rank is not None:
@@ -311,6 +369,8 @@ def _group(key: tuple[str, str], segs: list[_Segment], strict_scores: bool,
                                   f"for {what} (strict mode)")
     if not judged:
         return tuple(docs), range(1, len(docs) + 1), tuple(scores)
+    if lines_known and not packed:  # a cleared read's kept ids, by their offsets
+        parts = [dict(zip(seg.kept, part)) for seg, part in zip(segs, parts)]
     kept = sorted(  # (rank, doc, score) of each kept row
         (seg.ranks[i], part[i], score) for seg, part in zip(segs, parts)
         for i, score in zip(seg.kept, map(seg.scores.__getitem__, seg.kept)
@@ -362,9 +422,10 @@ class JudgmentSet:
         """Hold the query -> doc -> grade dicts, none of them empty, and index by query its
         relevant documents and its relevant and partially relevant ones."""
         self._by_query, self._relevant = by_query, {}
+        irrelevant, relevant_grade = Relevance.IRRELEVANT, Relevance.RELEVANT  # one lookup each
         for query, grades in by_query.items():
-            kept = [d for d, g in grades.items() if g is not Relevance.IRRELEVANT]
-            relevant = [d for d in kept if grades[d] is Relevance.RELEVANT]
+            kept = [d for d, g in grades.items() if g is not irrelevant]
+            relevant = [d for d in kept if grades[d] is relevant_grade]
             self._relevant[query] = tuple(relevant), tuple(kept)
         return self
 
@@ -448,24 +509,27 @@ _OFF_SPLIT = (b"#", b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def _read_runs(reads: Iterable[bytes], segments: _Segments, source: int,
-               keep: _Keep | None = None) -> None:
+               keep: _Keep | None = None, clear: bool = False) -> None:
     """Read one run input into `segments`, in chunks cut after the last newline of a read.
 
     Each chunk is cut on its own; only the partial last line carries over to the
     next, and `_checked` joins a group's segments. A chunk that does not split as
     bytes with plain ranks is decoded and split line by line; one with a line that
     does not convert is read again line by line, for the error of its first such line.
+    With `keep` and `clear`, each segment's ids are cleared as they are read (see
+    `_clear`, which may raise `_Unclear`), and only the kept rows' ids are held.
     """
+    opened = [] if keep is not None and clear else None
     for lineno, text, lines in _chunks(reads):
         columns = _split(text, lines)
-        if columns is None or not _cut(segments, columns, source, lineno, keep):
+        if columns is None or not _cut(segments, columns, source, lineno, keep, opened):
             decoded = text.decode()
             try:
                 pieces = _rows(decoded, lineno)
             except ValueError:
                 _raise_first_fault(decoded.split("\n"), lineno)
             for first, piece in pieces:
-                _cut(segments, piece, source, first, keep)
+                _cut(segments, piece, source, first, keep, opened)
 
 
 def _chunks(reads: Iterable[bytes]) -> Iterator[tuple[int, bytes, int]]:
@@ -508,7 +572,7 @@ def _split(text: bytes, n: int) -> list | None:
         scores = list(map(float, toks[4::7]))
     except ValueError:
         return None
-    if not all(map(math.isfinite, scores)):
+    if not _finite(scores):
         return None
     return [toks[0::7], toks[2::7], toks[3::7], scores, toks[5::7]]
 
@@ -526,10 +590,16 @@ def _rows(text: str, lineno: int) -> list[tuple[int, list]]:
                 raise ValueError("a line without 6 fields")
             queries, _, docs, ranks, scores, systems = zip(*rows[a:b])
             ranks, scores = list(map(int, ranks)), list(map(float, scores))
-            if min(ranks) < 1 or not all(map(math.isfinite, scores)):
+            if min(ranks) < 1 or not _finite(scores):
                 raise ValueError("a rank below 1 or a score that is not finite")
             pieces.append((lineno + a, [queries, docs, ranks, scores, systems]))
     return pieces
+
+
+def _finite(scores: list[float]) -> bool:
+    """Whether every score is finite; a finite sum proves it, as any inf or nan term makes
+    the sum inf or nan, so the scores are tested one by one only when it is not."""
+    return math.isfinite(sum(scores)) or all(map(math.isfinite, scores))
 
 
 def _echo(token: str, show: Callable[[str], str] = repr) -> str:
@@ -650,8 +720,9 @@ def load_runs(path: str | Path, strict_scores: bool = False, *,
     every file is read, and the first in first-appearance order is raised. It
     names the files that hold the group. With `judged`, every group is checked
     whole but keeps only its rows of documents that `judged` grades relevant or
-    partially relevant. `digests`, when given, receives the SHA-256 of each
-    file's bytes by file name, hashed as first read.
+    partially relevant; a file whose ids do not clear as it is read (see
+    `_clear`) is read again from its start. `digests`, when given, receives the
+    SHA-256 of each file's bytes by file name, hashed as read in full.
     """
     path = Path(path)
     if path.is_dir():
@@ -667,7 +738,12 @@ def load_runs(path: str | Path, strict_scores: bool = False, *,
     held: dict[tuple[str, str], ValidationError] = {}
     for source, f in enumerate(files):
         segments: _Segments = {}
-        _read_file(f, lambda reads: _read_runs(reads, segments, source, keep), digests)
+        try:
+            _read_file(f, lambda reads: _read_runs(reads, segments, source, keep, clear=True),
+                       digests)
+        except _Unclear:  # read it again from its start, holding every id
+            segments.clear()
+            _read_file(f, lambda reads: _read_runs(reads, segments, source, keep), digests)
         for key in list(segments):
             holders.setdefault(key, []).append(source)
             if len(holders[key]) > 1:  # a group across files

@@ -108,11 +108,12 @@ def generate(spec: SyntheticSpec) -> tuple[RunSet, JudgmentSet]:
     scores = tuple(_score(rank, spec.depth_n) for rank in range(1, spec.depth_n + 1))
     columns: _RunColumns = {}
     grades: dict[tuple[str, str], Relevance] = {}
+    relevant, irrelevant = Relevance.RELEVANT, Relevance.IRRELEVANT  # one lookup each
 
     for query in spec.query_ids:
         rel_docs = [f"{query}-rel{i:03d}" for i in range(spec.relevant_per_query)]
         for doc in rel_docs:
-            grades[(query, doc)] = Relevance.RELEVANT
+            grades[(query, doc)] = relevant
         shared = rel_docs[: spec.num_shared]
         cursor = spec.num_shared
         unique: dict[str, list[str]] = {s: [] for s in systems}
@@ -131,7 +132,7 @@ def generate(spec: SyntheticSpec) -> tuple[RunSet, JudgmentSet]:
         filler_pool = [f"{query}-fill{i:04d}" for i in range(spec.depth_n + 1)]
         for doc in filler_pool:
             if rng.random() < 0.5:
-                grades[(query, doc)] = Relevance.IRRELEVANT
+                grades[(query, doc)] = irrelevant
 
         for s in systems:
             sink_uniques = spec.ap_handicap and s == designated

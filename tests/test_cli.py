@@ -414,7 +414,7 @@ CUT = f"'{'x' * 40}'… (5000 characters)"
                      id="duplicate_document"),
         pytest.param({"a.txt": f"q1 0 {LONG} 1 0.9 s1\n", "b.txt": f"q1 0 {LONG} 2 0.8 s1\n"},
                      QRELS, [], f"a.txt, b.txt: duplicate document {CUT} for system 's1', "
-                     "query 'q1'", id="duplicate_document_across_files"),
+                     "query 'q1' (b.txt line 1)", id="duplicate_document_across_files"),
         pytest.param(f"q1 0 d1 1 0.9 {LONG}\nq1 0 d2 1 0.8 {LONG}\n", QRELS, [],
                      f"runs.txt: duplicate rank 1 for system {CUT}, query 'q1' (line 2)",
                      id="duplicate_rank"),

@@ -379,7 +379,8 @@ def test_errors_keep_file_order_across_both_paths(tmp_path):
     (tmp_path / "b.txt").write_text("# c\nq2 0 d2 3 0.8 s1\nq1 0 d1 2 0.8 s1\n")
     with pytest.raises(ValidationError) as info:
         load_runs(tmp_path)
-    assert str(info.value) == "a.txt, b.txt: duplicate document 'd1' for system 's1', query 'q1'"
+    assert str(info.value) == ("a.txt, b.txt: duplicate document 'd1' for system 's1', "
+                               "query 'q1' (b.txt line 3)")
 
 
 def _write_dir(path: Path, texts: dict[str, str]) -> Path:
@@ -389,12 +390,24 @@ def _write_dir(path: Path, texts: dict[str, str]) -> Path:
     return path
 
 
+def _located(texts: dict[str, str], doc: str, rank: int) -> tuple[int, str, int]:
+    """(file position, file name, line) of the (s1, q1) row of `doc` at `rank` in `texts`."""
+    for position, (name, text) in enumerate(texts.items()):
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if line.split()[::5] == ["q1", "s1"] and line.split()[2:4] == [doc, str(rank)]:
+                return position, name, lineno
+    raise AssertionError(f"no row of {doc} at rank {rank}")
+
+
 @pytest.mark.parametrize("chunk_chars", [1, 40, 1 << 16])
 @pytest.mark.parametrize("n_files", [2, 3])
 def test_group_split_across_files_at_every_rank(tmp_path, monkeypatch, n_files, chunk_chars):
     """The group (s1, q1) cut into n_files pieces at every rank, one piece a file, in rank
     order or reversed, beside groups that each lie in one file: whole and judged, each
-    layout loads as the entries that made it."""
+    layout loads as the entries that made it. With the document of rank 1 at rank 6 too,
+    or rank 1 twice, the error names the group's files and the file and line of the row
+    that repeats it: the later rank's copy of the document, the later copy of the rank
+    in file order."""
     monkeypatch.setattr(corpus_io, "_CHUNK_CHARS", chunk_chars)
     split = [RunEntry("q1", f"d{r}", r, 1.0 - r / 10, "s1") for r in range(1, 7)]
     others = [[RunEntry(q, f"d{r}", r, 1.0 - r / 10, s) for r in range(1, 4)]
@@ -402,15 +415,30 @@ def test_group_split_across_files_at_every_rank(tmp_path, monkeypatch, n_files, 
     expected = RunSet(split + [e for group in others for e in group])
     judgments = _graded(split[::2] + others[0])
     layouts = 0
+    files = ", ".join(f"f{i}.txt" for i in range(n_files))
+    faults = {  # fault -> ((s1, q1) row at rank 6, message, where the repeating row lies)
+        "document": (split[5]._replace(doc="d1"), f"duplicate document 'd1' {_GROUP}",
+                     lambda texts: _located(texts, "d1", 6)),
+        "rank": (split[5]._replace(rank=1), f"duplicate rank 1 {_GROUP}",
+                 lambda texts: max(_located(texts, "d1", 1), _located(texts, "d6", 1))),
+    }
     for cuts in combinations(range(1, len(split)), n_files - 1):
-        pieces = [split[a:b] for a, b in zip((0, *cuts), (*cuts, len(split)))]
-        for order in (pieces, pieces[::-1]):
-            texts = {f"f{i}.txt": "".join(line + "\n" for line in _run_lines(
-                piece + [e for group in others[i::n_files] for e in group]))
-                for i, piece in enumerate(order)}
-            path = _write_dir(tmp_path / f"layout{layouts}", texts)
-            assert _load_both(path, judgments) == expected, texts
-            layouts += 1
+        for fault in (None, *faults):
+            rows = split if fault is None else split[:5] + [faults[fault][0]]
+            pieces = [rows[a:b] for a, b in zip((0, *cuts), (*cuts, len(rows)))]
+            for order in (pieces, pieces[::-1]):
+                texts = {f"f{i}.txt": "".join(line + "\n" for line in _run_lines(
+                    piece + [e for group in others[i::n_files] for e in group]))
+                    for i, piece in enumerate(order)}
+                path = _write_dir(tmp_path / f"layout{layouts}", texts)
+                layouts += 1
+                if fault is None:
+                    assert _load_both(path, judgments) == expected, texts
+                    continue
+                with pytest.raises(ValidationError) as info:
+                    _load_both(path, judgments)
+                _, name, line = faults[fault][2](texts)
+                assert str(info.value) == f"{files}: {faults[fault][1]} ({name} line {line})"
 
 
 def test_gap_that_a_later_file_fills_loads(tmp_path):
@@ -433,12 +461,12 @@ def test_a_line_error_comes_before_an_earlier_files_group_error(tmp_path):
         # Only the files that hold the group are named.
         ({"a.txt": "q1 0 d1 1 0.9 s1\n", "b.txt": "q2 0 d1 1 0.9 s1\n",
           "c.txt": "q1 0 d1 2 0.8 s1\n"},
-         "a.txt, c.txt: duplicate document 'd1' for system 's1', query 'q1'"),
+         "a.txt, c.txt: duplicate document 'd1' for system 's1', query 'q1' (c.txt line 1)"),
         # The group across files appears first, so its error wins over the one-file
         # group's, which was found when a.txt ended.
         ({"a.txt": "q1 0 d1 1 0.9 s1\nq2 0 d1 1 0.9 s1\nq2 0 d3 3 0.7 s1\n",
           "b.txt": "q1 0 d1 2 0.8 s1\n"},
-         "a.txt, b.txt: duplicate document 'd1' for system 's1', query 'q1'"),
+         "a.txt, b.txt: duplicate document 'd1' for system 's1', query 'q1' (b.txt line 1)"),
         ({"a.txt": "q2 0 d1 1 0.9 s1\nq2 0 d3 3 0.7 s1\nq1 0 d1 1 0.9 s1\n",
           "b.txt": "q1 0 d1 2 0.8 s1\n"},
          "a.txt: ranks for system 's1', query 'q2' are not contiguous 1..2 (missing [2])"),
@@ -584,9 +612,10 @@ def test_valid_edge_files_load_as_the_line_parser_reads_them(tmp_path, text):
         # Entries come from no file: the message names neither file nor line.
         ([RunEntry("q1", "d1", 1, 0.9, "s1"), RunEntry("q1", "d1", 2, 0.8, "s1")],
          ValidationError, "duplicate document 'd1' for system 's1', query 'q1'"),
-        # A duplicate rank names no line when its group spans two files.
+        # A duplicate rank in a group that spans two files names the file of its line.
         ({"a.txt": "q1 0 d1 1 0.9 s1\n", "b.txt": "q1 0 d2 1 0.8 s1\n"},
-         ValidationError, "a.txt, b.txt: duplicate rank 1 for system 's1', query 'q1'"),
+         ValidationError,
+         "a.txt, b.txt: duplicate rank 1 for system 's1', query 'q1' (b.txt line 1)"),
     ],
     ids=["five_then_seven_fields", "rank_gap", "duplicate_document", "nan_score",
          "group_without_rank_1", "rank_not_integer", "rank_zero", "duplicate_rank",
@@ -869,9 +898,22 @@ _GROUP = "for system 's1', query 'q1'"
          "q1 0 d4 2 0.8 s1\n", False, f"duplicate rank 1 {_GROUP} (line 4)"),
         ("q1 0 d1 1 0.5 s1\nq1 0 d2 2 0.4 s1\nq1 0 d3 3 0.6 s1\n", True,
          f"score increases from rank 2 to 3 {_GROUP} (strict mode)"),
+        # Documents that no judgment keeps (d2 is graded irrelevant, d9 not at all), twice in
+        # a row and four rows apart: one chunk holds both copies or two chunks do.
+        ("q1 0 d1 1 0.9 s1\nq1 0 d2 2 0.8 s1\nq1 0 d2 3 0.7 s1\n", False,
+         f"duplicate document 'd2' {_GROUP} (line 3)"),
+        ("q1 0 d9 1 0.9 s1\nq1 0 d1 2 0.8 s1\nq1 0 d3 3 0.7 s1\nq1 0 d4 4 0.6 s1\n"
+         "q1 0 d9 5 0.5 s1\n", False, f"duplicate document 'd9' {_GROUP} (line 5)"),
+        # Copies in a chunk split as bytes and one split as text ("#" line, non-ASCII id).
+        ("q1 0 d9 1 0.9 s1\nq1 0 d1 2 0.8 s1\n# c\nq1 0 d9 3 0.7 s1\n", False,
+         f"duplicate document 'd9' {_GROUP} (line 4)"),
+        ("q1 0 d\u00e9 1 0.9 s1\nq1 0 d1 2 0.8 s1\nq1 0 d3 3 0.7 s1\nq1 0 d1 4 0.6 s1\n", False,
+         f"duplicate document 'd1' {_GROUP} (line 4)"),
     ],
     ids=["duplicate_document", "duplicate_rank", "rank_gap", "repeated_group",
-         "reappearing_group", "rising_score"],
+         "reappearing_group", "rising_score", "duplicate_unkept_document",
+         "duplicate_unjudged_document_apart", "duplicate_bytes_then_text",
+         "duplicate_text_then_bytes"],
 )
 @pytest.mark.parametrize("chunk_chars", [1, 7, 40, 333, 1 << 16])
 def test_group_faults_at_every_chunk_size(tmp_path, monkeypatch, text, strict, expected,
@@ -879,11 +921,46 @@ def test_group_faults_at_every_chunk_size(tmp_path, monkeypatch, text, strict, e
     """A group fault gives one error, however the chunks cut the group into segments, whole
     and judged."""
     path = tmp_path / "runs.txt"
-    path.write_text(text)
+    path.write_bytes(text.encode())
     monkeypatch.setattr(corpus_io, "_CHUNK_CHARS", chunk_chars)
     with pytest.raises(ValidationError) as info:
         _load_both(path, _graded([_E1, _E2]), strict)
     assert str(info.value) == f"runs.txt: {expected}"
+
+
+@pytest.mark.parametrize("chunk_chars", [40, 1 << 15])
+def test_interleaved_file_loads_judged_as_whole_and_hashes_as_itself(tmp_path, monkeypatch,
+                                                                       chunk_chars):
+    """A file sorted by query, rank and system, whose groups come back row after row: its
+    judged load keeps the judged rows of the whole one from at most two reads, and the
+    report gives the file's own SHA-256."""
+    lines = sorted(_corpus_lines(), key=lambda line: (
+        line.split()[0], int(line.split()[3]), line.split()[5]))
+    path = tmp_path / "interleaved.txt"
+    path.write_text("".join(lines))
+    monkeypatch.setattr(corpus_io, "_CHUNK_CHARS", chunk_chars)
+    whole = load_runs(path)
+    assert whole == parse_run_file(io.StringIO("".join(lines)))
+    judgments = _graded(list(whole.entries()))
+    opened = []
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(Path(file).name)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(corpus_io, "open", recording_open, raising=False)
+    digests = {}
+    assert load_runs(path, judged=judgments, digests=digests) == _judged_rows(whole, judgments)
+    assert opened in (["interleaved.txt"], ["interleaved.txt"] * 2)
+    sha256 = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == {"interleaved.txt": sha256}
+    qrels = tmp_path / "qrels.txt"
+    with qrels.open("w") as sink:
+        write_judgments(judgments, sink)
+    out = tmp_path / "report.json"
+    assert main(["--runs", str(path), "--qrels", str(qrels), "--format", "json",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["metadata"]["inputs"]["runs"] == sha256
 
 
 def test_ranking_among_keeps_only_those_documents():

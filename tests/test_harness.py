@@ -14,12 +14,14 @@ from noveval import (
     RunEntry,
     RunSet,
     aggregate,
+    load_runs,
     parse_judgments,
     parse_run_file,
     per_query_diffs,
     run_leave_one_out,
     tie_break,
     total_utility,
+    write_run_file,
 )
 from noveval.errors import ConfigError, ValidationError
 
@@ -299,6 +301,30 @@ def test_table_cells_equal_plain_pool_and_full_sort_ap():
         seen.add(cfg.epsilon_custom)
     assert min(cases.values()) >= 100, cases
     assert seen == set(EPSILONS)
+
+
+def test_judged_rows_move_no_score(tmp_path):
+    """The leave-one-out table over the runs that `load_runs(..., judged=)` keeps equals (==)
+    the table over the whole runs, under partial relevance, depth cuts, custom epsilons and
+    log bases e, 2 and 10."""
+    rng = random.Random(4242)
+    seen, dropped = set(), 0
+    for case in range(300):
+        runs, js = _random_corpus(rng)
+        cfg = _random_config(rng)
+        path = tmp_path / f"runs{case}.txt"
+        with path.open("w") as sink:
+            write_run_file(runs, sink)
+        whole, judged = load_runs(path), load_runs(path, judged=js)
+        dropped += len(judged) < len(whole)
+        assert run_leave_one_out(judged, js, cfg) == run_leave_one_out(whole, js, cfg)
+        depth = max(len(docs) for docs, _, _ in whole._groups.values())
+        seen |= {("partial", cfg.partial_relevant_counts), ("base", cfg.log_base),
+                 ("epsilon", cfg.epsilon_custom), ("cut", cfg.depth_n < depth)}
+    assert seen == ({("partial", False), ("partial", True), ("cut", False), ("cut", True)}
+                    | {("base", b) for b in (math.e, 2.0, 10.0)}
+                    | {("epsilon", e) for e in EPSILONS})
+    assert dropped >= 200, dropped  # the judged runs hold fewer rows in most cases
 
 
 def _renamed(runs: RunSet, js: JudgmentSet, docs: dict, queries: dict):
