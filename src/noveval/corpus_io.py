@@ -26,14 +26,15 @@ and key changes, and packs each segment's document ids into one string. In
 rows of documents J grades relevant or partially relevant and holds only those rows'
 ids. An id twice, a key that comes back, or a segment that neither starts at rank 1
 nor continues the open group stops that file's read, and the file is read again from
-its start with every id packed. One group check, which `RunSet(entries)` shares, is
-the only place that joins a group's segments; it decides what is valid and what every
-error says, then stores the whole group or only the noted rows (every group's key
-stays). `load_runs` runs it on each file's groups when that file ends, and on a group
-that crosses files after a second read, every id packed, of only the files that hold
-it, so it holds one file's segments and one chunk's tokens at a time. The judgment
-reader splits the same chunks the same way, and reads any other chunk line by line.
-`JudgmentSet` indexes its grades and relevant documents by query.
+its start with every id packed; a segment of a group that an earlier file holds keeps
+no row instead. One group check, which `RunSet(entries)` shares, is the only place
+that joins a group's segments; it decides what is valid and what every error says,
+then stores the whole group or only the noted rows, a cleared group's as they are
+(every group's key stays). `load_runs` runs it on each file's groups when that file
+ends, and on a group that crosses files after a second read, every id packed, of only
+the files that hold it, so it holds one file's segments and one chunk's tokens at a
+time. The judgment reader splits the same chunks the same way, and reads any other
+chunk line by line. `JudgmentSet` indexes its grades and relevant documents by query.
 
 All parsed structures are immutable after construction and safe to share
 across threads.
@@ -160,7 +161,8 @@ class RunSet:
 
 
 def _cut(segments: _Segments, columns: Sequence, source: int, first: int | None,
-         keep: _Keep | None = None, opened: list | None = None) -> bool:
+         keep: _Keep | None = None, opened: list | None = None, earlier: dict | None = None
+         ) -> bool:
     """Add the rows of the columns (queries, docs, ranks, scores, systems) to `segments`,
     cut at each rank 1 and then at each change of key; `first` is the line number of row 0,
     None for entries. Columns of bytes hold rank tokens: unless each segment's count up
@@ -202,7 +204,7 @@ def _cut(segments: _Segments, columns: Sequence, source: int, first: int | None,
         if keep is not None:
             if opened is not None:
                 wanted = wanted.intersection(
-                    _clear(opened, segments, (system, query), seg_ranks, seg_docs))
+                    _clear(opened, segments, (system, query), seg_ranks, seg_docs, earlier))
             kept = array("I", compress(count(), map(wanted.__contains__, seg_docs)))
             if not keep.every_score:
                 seg_scores = map(seg_scores.__getitem__, kept)
@@ -224,7 +226,7 @@ class _Unclear(Exception):
 
 
 def _clear(opened: list, segments: _Segments, key: tuple[str, str], ranks: range | tuple,
-           docs: Sequence) -> set:
+           docs: Sequence, earlier: dict) -> set:
     """The ids of a segment's group read so far (tokens as split, bytes or text), once the
     segment's are cleared: the segment starts a group at rank 1 whose key `segments` does
     not hold yet, or continues the group `opened` by the segment before it ([key, next
@@ -232,7 +234,11 @@ def _clear(opened: list, segments: _Segments, key: tuple[str, str], ranks: range
     and adding its ids to the group's set leaves none there twice. The segment's group is
     then `opened`. Any other segment raises `_Unclear`, and its input is read again with
     every id held, for `_group` to judge: so an input that clears holds each group once,
-    in rank order from 1, with no id twice."""
+    in rank order from 1, with no id twice. A segment of a group that `earlier` inputs hold
+    keeps no row: the group is read again whole."""
+    if key in earlier:
+        opened.clear()
+        return set()
     if type(ranks) is not range:
         raise _Unclear
     if opened and opened[0] == key and ranks.start == opened[1]:
@@ -308,20 +314,16 @@ def _group(key: tuple[str, str], segs: list[_Segment], strict_scores: bool,
     whole, or, from a judged read, whose segments hold the offsets of their kept rows,
     only those rows; its segments then hold every row's score only under
     `strict_scores`, else only the kept rows', and every row's id unless the read
-    cleared them (see `_clear`), which leaves no duplicate, gap or input but one.
+    cleared them (see `_clear`), which leaves one input, chained from rank 1, with no
+    id twice: its kept rows are joined as they are.
     """
-    what = f"system {_echo(key[0])}, query {_echo(key[1])}"
-    sources = list(dict.fromkeys(seg.source for seg in segs))
-    where = "" if names is None else ", ".join(names[s] for s in sources) + ": "
     lines_known = segs[0].line is not None
     packed = isinstance(segs[0].docs, str)  # every row's id, else a cleared read's kept ones
-
-    def at(seg: _Segment, i: int) -> str:  # the line of a segment's row i, and its input's name
-        if not lines_known:                    # when the group lies in more than one
-            return ""
-        named = f"{names[seg.source]} " if len(sources) > 1 else ""
-        return f" ({named}line {seg.line + i})"
-
+    if lines_known and not packed and not strict_scores:  # cleared: its kept rows as they are
+        return (_joined([seg.docs for seg in segs]),
+                tuple(chain.from_iterable(map(seg.ranks.__getitem__, seg.kept) for seg in segs)),
+                tuple(chain.from_iterable(seg.scores for seg in segs)))
+    sources = list(dict.fromkeys(seg.source for seg in segs))
     parts = [seg.docs.split(" ") for seg in segs] if packed else [seg.docs for seg in segs]
     docs = _joined(parts)  # in input order
     for source in sources if packed else ():  # a document twice in one input
@@ -330,15 +332,14 @@ def _group(key: tuple[str, str], segs: list[_Segment], strict_scores: bool,
         dup = _first_repeat(own_docs)
         if dup is not None:
             line = _joined([range(segs[i].line, segs[i].line + len(parts[i])) for i in own])[dup]
-            named = "" if names is None else f"{names[source]}: "
-            raise ValidationError(
-                f"{named}duplicate document {_echo(own_docs[dup])} for {what} (line {line})"
-            )
+            raise _fault(key, [source], names, f"duplicate document {_echo(own_docs[dup])}",
+                         f" (line {line})")
     judged = segs[0].kept is not None
     every_score = strict_scores or not judged
     seg_ranks = [seg.ranks for seg in segs]
     firsts = accumulate(map(len, seg_ranks), initial=1)
-    if all(ranks == range(r, r + len(ranks)) for ranks, r in zip(seg_ranks, firsts)):
+    chained = all(ranks == range(r, r + len(ranks)) for ranks, r in zip(seg_ranks, firsts))
+    if chained:
         scores = _joined([seg.scores for seg in segs])
     else:
         by_rank: dict[int, tuple[str, float | None]] = {}
@@ -346,37 +347,46 @@ def _group(key: tuple[str, str], segs: list[_Segment], strict_scores: bool,
             row_scores = seg.scores if every_score else repeat(None)  # None: not held
             for i, rank, doc, score in zip(count(), seg.ranks, part, row_scores):
                 if rank in by_rank:
-                    raise ValidationError(
-                        f"{where}duplicate rank {_echo(str(rank), str)} for {what}{at(seg, i)}")
+                    raise _fault(key, sources, names, f"duplicate rank {_echo(str(rank), str)}",
+                                 row=(seg, i))
                 by_rank[rank] = doc, score
         n = len(by_rank)
         missing = sorted(set(range(1, n + 1)).difference(by_rank))
         if missing:
-            raise ValidationError(
-                f"{where}ranks for {what} are not contiguous 1..{n} (missing {missing[:5]})"
-            )
+            raise _fault(key, sources, names, "ranks",
+                         f" are not contiguous 1..{n} (missing {missing[:5]})")
         docs, scores = zip(*(by_rank[r] for r in range(1, n + 1)))
     if len(sources) > 1 or not lines_known:  # else checked within its one input
         dup = _first_repeat(docs)  # at rank dup + 1
         if dup is not None:
             seg = next(seg for seg in segs if dup + 1 in seg.ranks)
-            raise ValidationError(f"{where}duplicate document {_echo(docs[dup])} for {what}"
-                                  f"{at(seg, seg.ranks.index(dup + 1))}")
+            raise _fault(key, sources, names, f"duplicate document {_echo(docs[dup])}",
+                         row=(seg, seg.ranks.index(dup + 1)))
     if strict_scores:
         rank = next(compress(count(1), map(operator.lt, scores, scores[1:])), None)
         if rank is not None:
-            raise ValidationError(f"{where}score increases from rank {rank} to {rank + 1} "
-                                  f"for {what} (strict mode)")
+            raise _fault(key, sources, names, f"score increases from rank {rank} to {rank + 1}",
+                         " (strict mode)")
     if not judged:
         return tuple(docs), range(1, len(docs) + 1), tuple(scores)
-    if lines_known and not packed:  # a cleared read's kept ids, by their offsets
-        parts = [dict(zip(seg.kept, part)) for seg, part in zip(segs, parts)]
-    kept = sorted(  # (rank, doc, score) of each kept row
-        (seg.ranks[i], part[i], score) for seg, part in zip(segs, parts)
-        for i, score in zip(seg.kept, map(seg.scores.__getitem__, seg.kept)
-                            if every_score else seg.scores))
-    ranks, docs, scores = zip(*kept) if kept else _NO_GROUP
-    return docs, ranks, scores
+    kept = [tuple(chain.from_iterable(column)) for column in (  # the kept rows' columns
+        [map(part.__getitem__, seg.kept) if packed else part for seg, part in zip(segs, parts)],
+        [map(seg.ranks.__getitem__, seg.kept) for seg in segs],
+        [map(seg.scores.__getitem__, seg.kept) if every_score else seg.scores for seg in segs])]
+    if not chained:  # merged by rank: sort the kept rows by rank
+        kept = [*zip(*sorted(zip(*kept), key=operator.itemgetter(1)))] or _NO_GROUP
+    return tuple(kept)
+
+
+def _fault(key: tuple[str, str], sources: list[int], names: list[str] | None, text: str,
+           tail: str = "", row: tuple[_Segment, int] | None = None) -> ValidationError:
+    """A group's error, built only to be raised: its inputs' names, `text` for the group, then
+    `tail` or the line of a (segment, offset) `row`, named when the group spans inputs."""
+    if row is not None and row[0].line is not None:
+        seg, i = row
+        tail = f" ({names[seg.source] + ' ' if len(sources) > 1 else ''}line {seg.line + i})"
+    where = "" if names is None else ", ".join(names[s] for s in sources) + ": "
+    return ValidationError(f"{where}{text} for system {_echo(key[0])}, query {_echo(key[1])}{tail}")
 
 
 def _joined(parts: list[tuple]) -> tuple:
@@ -509,27 +519,27 @@ _OFF_SPLIT = (b"#", b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def _read_runs(reads: Iterable[bytes], segments: _Segments, source: int,
-               keep: _Keep | None = None, clear: bool = False) -> None:
+               keep: _Keep | None = None, earlier: dict | None = None) -> None:
     """Read one run input into `segments`, in chunks cut after the last newline of a read.
 
     Each chunk is cut on its own; only the partial last line carries over to the
     next, and `_checked` joins a group's segments. A chunk that does not split as
     bytes with plain ranks is decoded and split line by line; one with a line that
     does not convert is read again line by line, for the error of its first such line.
-    With `keep` and `clear`, each segment's ids are cleared as they are read (see
-    `_clear`, which may raise `_Unclear`), and only the kept rows' ids are held.
+    With `keep` and the groups of `earlier` inputs, each segment's ids are cleared as they
+    are read (see `_clear`, which may raise `_Unclear`), and only the kept rows' ids are held.
     """
-    opened = [] if keep is not None and clear else None
+    opened = [] if keep is not None and earlier is not None else None
     for lineno, text, lines in _chunks(reads):
         columns = _split(text, lines)
-        if columns is None or not _cut(segments, columns, source, lineno, keep, opened):
+        if columns is None or not _cut(segments, columns, source, lineno, keep, opened, earlier):
             decoded = text.decode()
             try:
                 pieces = _rows(decoded, lineno)
             except ValueError:
                 _raise_first_fault(decoded.split("\n"), lineno)
             for first, piece in pieces:
-                _cut(segments, piece, source, first, keep, opened)
+                _cut(segments, piece, source, first, keep, opened, earlier)
 
 
 def _chunks(reads: Iterable[bytes]) -> Iterator[tuple[int, bytes, int]]:
@@ -739,7 +749,7 @@ def load_runs(path: str | Path, strict_scores: bool = False, *,
     for source, f in enumerate(files):
         segments: _Segments = {}
         try:
-            _read_file(f, lambda reads: _read_runs(reads, segments, source, keep, clear=True),
+            _read_file(f, lambda reads: _read_runs(reads, segments, source, keep, holders),
                        digests)
         except _Unclear:  # read it again from its start, holding every id
             segments.clear()

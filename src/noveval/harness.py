@@ -53,13 +53,11 @@ def run_leave_one_out(runs: RunSet, judgments: JudgmentSet, config: EvalConfig) 
     utility, ap = {}, {}
     for query in runs.queries():
         relevant = judgments.relevant_docs(query, config.partial_relevant_counts)
-        rankings = [runs.ranking(s, query, config.depth_n, among=relevant) for s in systems]
-        table = QueryTable(rankings, relevant, config.depth_n)
-        utility[query] = tuple(
-            total_utility(table[i], table.pool_without(i), relevant, config).total
-            for i in range(len(systems))
-        )
-        ap[query] = tuple(average_precision(ranks, relevant) for ranks in table)
+        rankings = (runs.ranking(s, query, config.depth_n, among=relevant) for s in systems)
+        table = QueryTable(rankings, relevant, config)
+        utility[query] = tuple(total_utility(x, table.pool_without(i), relevant, config).total
+                               for i, x in enumerate(table))
+        ap[query] = tuple(average_precision(x, relevant) for x in table)
     return LeaveOneOut(systems, tuple(utility), utility, ap)
 
 

@@ -6,22 +6,22 @@ so the probability of reading the document at rank r is (N - r + 1) / N.
 A system's utility on a relevant document is the log-ratio of its own read
 probability to the pooled read probability over the other systems.
 
-A read probability is c = N - r + 1 over N. A `QueryTable` holds c[s][i]
-for each system s and relevant document i of one query (0 where s missed
-it) and the column totals T[i], so the pool of every system but x has the
-numerator T - c[x] over N(M - 1). Each utility term is one int/int true
-division, which Python rounds correctly, then the logarithm; a zero
-numerator takes its floor's integer ratio. AP sums hits/rank exactly over
-the lcm of the hit ranks and divides once, rounding as exact rational
-arithmetic does.
+Per query, a `QueryTable` is built once: c = N - r + 1 for each system and
+relevant document (0 if missed), the column totals T, and the term of a
+system that misses a document, which depends on T alone. The cell of system
+x reads x's row and T - c[x], the pool's numerator over N(M - 1), and takes a
+logarithm only where x retrieves. Each term is one correctly rounded int/int
+division, then the logarithm; a zero numerator takes its floor's integer
+ratio. AP sums hits/rank exactly over the lcm of the hit ranks and divides
+once.
 """
 
 from __future__ import annotations
 
 import math
-import operator
+from itertools import chain, compress, count
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import ConfigError, validated
 
@@ -100,48 +100,64 @@ class UtilityScore(NamedTuple):
     total: float = 0.0
 
 
-def _numerators(ranks: RankAssignment, docs: Sequence[str], depth_n: int) -> list[int]:
-    """N - r + 1 for each of `docs` that `ranks` places at r, 0 for the others."""
-    row = []
-    for r in map(ranks.get, docs):
-        if r is None:
-            row.append(0)
-        elif 0 < r <= depth_n:
-            row.append(depth_n + 1 - r)
-        else:
-            raise ConfigError(f"rank must be in [1, {depth_n}], got {r}")
-    return row
-
-
 class QueryTable(tuple):
-    """One query's rank dicts of M systems, with their integer table.
+    """One query's rank dicts of M >= 2 systems, with their integer table under `config`.
 
-    `docs` are the relevant documents in sorted order; rows[s][i] is
-    N - r + 1 where system s ranks docs[i] at r, 0 where s missed it; and
-    `totals` holds the column sums T[i].
+    rows[s][i] is c of system s for docs[i], the relevant documents in sorted order;
+    `totals` holds T, and `missed[doc]` the term of a system that misses doc.
+    `total_utility` reads the cell (table[s], pool_without(s)) from the table when
+    given the very set and an equal config that the table was built from.
     """
 
-    def __new__(
-        cls, rankings: Iterable[RankAssignment], relevant_docs: Iterable[str], depth_n: int
-    ):
+    def __new__(cls, rankings: Iterable[RankAssignment], relevant_docs: set[str],
+                config: EvalConfig):
         table = super().__new__(cls, rankings)
-        table.docs, table.depth_n = sorted(relevant_docs), depth_n
-        table.rows = [_numerators(ranks, table.docs, depth_n) for ranks in table]
-        table.totals = [sum(column) for column in zip(*table.rows)] or [0] * len(table.docs)
+        n, table.relevant, table.config = config.depth_n, relevant_docs, config
+        table.docs = sorted(relevant_docs)
+        col_of = dict(zip(table.docs, count()))
+        table.rows = [[0] * len(col_of) for _ in table]
+        for x, row in zip(table, table.rows):
+            for doc, r in x.items():
+                if doc in col_of:
+                    if not 0 < r <= n:
+                        raise ConfigError(f"rank must be in [1, {n}], got {r}")
+                    row[col_of[doc]] = n + 1 - r
+        table.totals = [sum(column) for column in zip(*table.rows)]
+        n_pool = n * (len(table) - 1)
+        if config.epsilon_custom is None:
+            (sys_num, sys_den), table.floor = (1, 2 * n), (1, 2 * n_pool)
+        else:
+            (sys_num, sys_den) = table.floor = config.epsilon_custom.as_integer_ratio()
+        # As `EvalConfig.log`, with log(base) taken once; x / 1.0 is x.
+        table.base = 1.0 if config.log_base == math.e else math.log(config.log_base)
+        table.missed = {}
+        for doc, t in zip(table.docs, table.totals):
+            pool_num, pool_den = (t, n_pool) if t else table.floor
+            table.missed[doc] = math.log(sys_num * pool_den / (sys_den * pool_num)) / table.base
         return table
 
-    def pool_without(self, i: int) -> QueryTable:
-        """The table of every system but i; its totals T - c[i] take R subtractions."""
-        pool = tuple.__new__(QueryTable, self[:i] + self[i + 1 :])
-        pool.docs, pool.depth_n = self.docs, self.depth_n
-        pool.rows = self.rows[:i] + self.rows[i + 1 :]
-        pool.totals = list(map(operator.sub, self.totals, self.rows[i]))
-        return pool
+    def pool_without(self, i: int) -> _Pool:
+        return _Pool(self, i)
+
+
+class _Pool:
+    """The rank dicts of every system of a `QueryTable` but the i-th."""
+
+    __slots__ = ("table", "i")
+
+    def __init__(self, table: QueryTable, i: int):
+        self.table, self.i = table, i
+
+    def __len__(self) -> int:
+        return len(self.table) - 1
+
+    def __iter__(self) -> Iterator[RankAssignment]:
+        return chain(self.table[: self.i], self.table[self.i + 1 :])
 
 
 def total_utility(
     assignment_x: RankAssignment,
-    pool: Sequence[RankAssignment],
+    pool: Collection[RankAssignment],
     relevant_docs: set[str],
     config: EvalConfig,
 ) -> UtilityScore:
@@ -150,28 +166,24 @@ def total_utility(
     Per document, x holds c = N - r + 1 (0 if missed) and the pool holds
     t = sum of N - r_y + 1, so p_sys = c/N and p_pool = t/(N|pool|), each
     replaced by its floor when zero; their ratio is one int/int division.
-    A `QueryTable` pool holds t already; any other pool is scanned once.
+    A `QueryTable` cell reads c, t = T - c and the missed documents' terms from
+    the table; any other pool is put in a table with x first.
     """
     if not relevant_docs:
         return UtilityScore()
     if not pool:
         raise ConfigError("pooled probability requires a non-empty pool")
-    n = config.depth_n
-    docs = sorted(relevant_docs)
-    if not (isinstance(pool, QueryTable) and pool.depth_n == n and pool.docs == docs):
-        pool = QueryTable(pool, docs, n)
-    n_pool = n * len(pool)
-    if config.epsilon_custom is None:
-        sys_floor, pool_floor = (1, 2 * n), (1, 2 * n_pool)
-    else:
-        sys_floor = pool_floor = config.epsilon_custom.as_integer_ratio()
-    log = config.log
-    per_doc: dict[str, float] = {}
-    for doc, c, t in zip(docs, _numerators(assignment_x, docs, n), pool.totals):
-        sys_num, sys_den = (c, n) if c else sys_floor
-        pool_num, pool_den = (t, n_pool) if t else pool_floor
-        per_doc[doc] = log(sys_num * pool_den / (sys_den * pool_num))
-    return UtilityScore(per_doc=per_doc, total=math.fsum(per_doc.values()))
+    if not (type(pool) is _Pool and pool.table[pool.i] is assignment_x
+            and pool.table.relevant is relevant_docs and pool.table.config == config):
+        pool = QueryTable(chain([assignment_x], pool), relevant_docs, config).pool_without(0)
+    table, row = pool.table, pool.table.rows[pool.i]
+    n, (floor_num, floor_den), base = config.depth_n, table.floor, table.base
+    n_pool, log, per_doc = n * len(pool), math.log, table.missed.copy()
+    for doc, c, t in zip(compress(table.docs, row), compress(row, row),
+                         compress(table.totals, row)):  # the documents x retrieves
+        t -= c  # the pool's numerator is T - c
+        per_doc[doc] = log(c * n_pool / (n * t) if t else c * floor_den / (n * floor_num)) / base
+    return UtilityScore(per_doc, math.fsum(per_doc.values()))
 
 
 def average_precision(assignment_x: RankAssignment, relevant_docs: set[str]) -> float | None:
@@ -182,7 +194,8 @@ def average_precision(assignment_x: RankAssignment, relevant_docs: set[str]) -> 
     r = len(relevant_docs)
     if r == 0:
         return None
-    hit_ranks = sorted(assignment_x[d] for d in relevant_docs if d in assignment_x)
+    hit_ranks = sorted(compress(assignment_x.values(),
+                                map(relevant_docs.__contains__, assignment_x)))
     lcm = math.lcm(*hit_ranks)
     num = sum(hits * (lcm // rank) for hits, rank in enumerate(hit_ranks, start=1))
     return num / (lcm * r)

@@ -502,6 +502,60 @@ def test_digests_come_from_the_first_read_of_a_file_read_again(tmp_path, monkeyp
                        for name in texts}
 
 
+def test_a_group_continued_from_an_earlier_file_reads_each_file_twice(tmp_path, monkeypatch):
+    """a.txt holds ranks 1-2 of a group and b.txt its rank 3: a judged load, as a whole one,
+    reads each file once and then each again for the group across them."""
+    path = _write_dir(tmp_path / "runs", {"a.txt": "q1 0 d1 1 0.9 s1\nq1 0 d2 2 0.8 s1\n",
+                                          "b.txt": "q1 0 d3 3 0.7 s1\n"})
+    opened = []
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(Path(file).name)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(corpus_io, "open", recording_open, raising=False)
+    judgments = _graded([RunEntry("q1", d, 1, 0.0, "s1") for d in ("d1", "d2", "d3")])
+    for judged in (None, judgments):
+        opened.clear()
+        runs = load_runs(path, judged=judged)
+        assert opened == ["a.txt", "b.txt", "a.txt", "b.txt"]
+        assert runs.ranking("s1", "q1") == ({"d1": 1, "d2": 2, "d3": 3} if judged is None
+                                            else {"d1": 1, "d3": 3})
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("chunk_chars", [1, 40, 1 << 15])
+def test_cleared_groups_keep_the_judged_rows_in_rank_order(tmp_path, monkeypatch, chunk_chars,
+                                                           strict):
+    """A judged read that clears its ids, with chunks cutting the group (s1, q1) apart, keeps
+    each subset of that group's rows (none too), beside a group that keeps none, as the whole
+    read's rows filtered to the kept documents, from one read of the file."""
+    monkeypatch.setattr(corpus_io, "_CHUNK_CHARS", chunk_chars)
+    group = [RunEntry("q1", f"d{r}", r, 1.0 - r / 10, "s1") for r in range(1, 7)]
+    others = [RunEntry(q, f"d{r}", r, 1.0 - r / 10, s) for s, q in (("s1", "q2"), ("s2", "q1"))
+              for r in range(1, 4)]
+    path = tmp_path / "runs.txt"
+    path.write_text("".join(line + "\n" for line in _run_lines(group + others)))
+    whole = load_runs(path, strict)
+    opened = []
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(Path(file).name)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(corpus_io, "open", recording_open, raising=False)
+    for k in range(len(group) + 1):
+        for kept in combinations(group, k):
+            grades = cycle([Relevance.RELEVANT, Relevance.PARTIALLY_RELEVANT])
+            judgments = JudgmentSet({("q1", "d9"): Relevance.IRRELEVANT}
+                                    | {(e.query, e.doc): g for e, g in zip(kept, grades)})
+            opened.clear()
+            judged = load_runs(path, strict, judged=judgments)
+            assert judged._groups == _judged_rows(whole, judgments)._groups
+            assert judged._groups[("s1", "q2")] == ((), (), ())
+            assert opened == ["runs.txt"]
+
+
 def test_judged_read_memory_is_bounded_by_one_file(tmp_path):
     """The peak of a judged load over 64 one-system files stays near that over 4: each file's
     segments are dropped when it ends, and only its few kept rows stay."""

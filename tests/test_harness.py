@@ -14,16 +14,19 @@ from noveval import (
     RunEntry,
     RunSet,
     aggregate,
+    average_precision,
     load_runs,
     parse_judgments,
     parse_run_file,
     per_query_diffs,
+    read_probability,
     run_leave_one_out,
     tie_break,
     total_utility,
     write_run_file,
 )
 from noveval.errors import ConfigError, ValidationError
+from noveval.metrics import QueryTable
 
 
 def _corpus(lines: str, qrels: str):
@@ -301,6 +304,46 @@ def test_table_cells_equal_plain_pool_and_full_sort_ap():
         seen.add(cfg.epsilon_custom)
     assert min(cases.values()) >= 100, cases
     assert seen == set(EPSILONS)
+
+
+def test_public_wrappers_equal_the_table_cells_on_zero_numerators():
+    """`total_utility` with a plain list pool and `average_precision` of a plain dict equal
+    (==) the harness's cells, the `QueryTable` cells they read and the exact Fraction ratios,
+    on documents that x misses (c = 0), that only x retrieves (T - c = 0) and that no system
+    retrieves (T = 0), under the default floors, every custom epsilon and bases e, 2 and 10."""
+    runs, js = _corpus(
+        "q1 0 only 1 0.9 s0\nq1 0 shared 2 0.8 s0\nq1 0 some 3 0.7 s0\n"
+        "q1 0 shared 1 0.9 s1\nq1 0 some 2 0.8 s1\nq1 0 junk 3 0.7 s1\n"
+        "q1 0 junk 1 0.9 s2\nq1 0 other 2 0.8 s2\nq1 0 shared 3 0.7 s2\n",
+        "q1 0 only 2\nq1 0 shared 2\nq1 0 some 1\nq1 0 none 2\nq1 0 junk 0\n")
+    systems = runs.systems()
+    for epsilon in EPSILONS:
+        for base in (math.e, 2.0, 10.0):
+            for depth, partial in ((3, True), (2, False)):
+                cfg = EvalConfig(depth, partial, base, epsilon)
+                scores = run_leave_one_out(runs, js, cfg)
+                relevant = js.relevant_docs("q1", partial)
+                table = QueryTable([runs.ranking(s, "q1", depth, among=relevant)
+                                    for s in systems], relevant, cfg)
+                cases = set()
+                for i, system in enumerate(systems):
+                    x = runs.ranking(system, "q1", depth)
+                    pool = [runs.ranking(y, "q1", depth) for y in systems if y != system]
+                    plain = total_utility(x, pool, relevant, cfg)
+                    assert plain.per_doc == {  # the log of each exact ratio p_sys / p_pool
+                        doc: cfg.log(float((read_probability(x.get(doc), depth)
+                                            or cfg.system_floor())
+                                           / (sum(read_probability(y.get(doc), depth)
+                                                  for y in pool) / len(pool)
+                                              or cfg.pool_floor(len(pool)))))
+                        for doc in relevant}
+                    assert scores.utility["q1"][i] == plain.total
+                    assert total_utility(table[i], table.pool_without(i), relevant, cfg) == plain
+                    assert scores.ap["q1"][i] == average_precision(x, relevant)
+                    assert average_precision(table[i], relevant) == average_precision(x, relevant)
+                    cases |= {("missed" if not c else "alone" if c == t else "pooled", t > 0)
+                              for c, t in zip(table.rows[i], table.totals)}
+                assert {("missed", True), ("alone", True), ("missed", False)} <= cases, cases
 
 
 def test_judged_rows_move_no_score(tmp_path):

@@ -150,17 +150,31 @@ class TestTotalUtility:
         assert with_clone.per_doc["d"] < lone.per_doc["d"]
 
 
+    @pytest.mark.parametrize("rank", [0, 11])
+    def test_rank_beyond_the_depth_rejected(self, rank):
+        cfg = EvalConfig(depth_n=10)
+        for x, pool in (({"d": rank}, [{"d": 1}]), ({"d": 1}, [{}, {"d": rank}])):
+            with pytest.raises(ConfigError, match=f"rank must be in \\[1, 10\\], got {rank}"):
+                total_utility(x, pool, {"d"}, cfg)
+        # A document outside the relevant set is not read.
+        assert total_utility({"d": 1, "e": rank}, [{}], {"d"}, cfg).total == math.log(20)
+
     def test_leave_one_out_pool_is_the_other_rank_dicts(self):
         ranks = [{"a": 1, "b": 3}, {"b": 1}, {"c": 2, "a": 4}]
-        table = QueryTable(ranks, {"a", "b", "c"}, 5)
+        table = QueryTable(ranks, {"a", "b", "c"}, EvalConfig(depth_n=5))
         for i, x in enumerate(ranks):
             pool = table.pool_without(i)
             assert list(pool) == ranks[:i] + ranks[i + 1 :]
-            # Another relevant set or depth than the table's is read from the dicts.
-            for relevant, depth in (({"a", "b", "c"}, 5), ({"a", "d"}, 5), ({"a", "b", "c"}, 6)):
+            # The table's own cell reads the table; another relevant set (an equal one too)
+            # or depth than the table's is read from the dicts.
+            for cell, relevant, depth in ((table[i], table.relevant, 5),
+                                          (table[i], table.relevant, 6),
+                                          (x, {"a", "b", "c"}, 5), (x, {"a", "d"}, 5),
+                                          (x, {"a", "b", "c"}, 6)):
                 cfg = EvalConfig(depth_n=depth)
                 expected = total_utility(x, list(pool), relevant, cfg)
-                assert total_utility(x, pool, relevant, cfg) == expected
+                assert total_utility(cell, pool, relevant, cfg) == expected
+                assert average_precision(cell, relevant) == average_precision(x, set(relevant))
 
 
 def _random_ranking(rng: random.Random, universe: list[str], depth_n: int) -> dict[str, int]:
