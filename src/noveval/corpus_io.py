@@ -15,26 +15,18 @@ dropped.
 
 A `RunSet` stores each (system, query) group as three columns in rank order:
 document ids, ranks and scores. One reader takes every run input, each file of
-`load_runs` and the stream of `parse_run_file`: it splits a chunk of whole lines
-that is ASCII, without "#", NUL or \\x1c-\\x1f, as bytes with one `bytes.split`
-(a NUL token per newline proves 6 fields a line) and takes ranks that count up in
-plain digits by comparing tokens; any other chunk is decoded and split line by
-line. It cuts each chunk on its own into (system, query) segments, at rank-1 rows
-and key changes, and packs each segment's document ids into one string. In
-`load_runs(..., judged=J)` it instead clears each segment's ids on the tokens it split
-(its group's set, carried across chunks, must grow by every id), notes the segment's
-rows of documents J grades relevant or partially relevant and holds only those rows'
-ids. An id twice, a key that comes back, or a segment that neither starts at rank 1
-nor continues the open group stops that file's read, and the file is read again from
-its start with every id packed; a segment of a group that an earlier file holds keeps
-no row instead. One group check, which `RunSet(entries)` shares, is the only place
-that joins a group's segments; it decides what is valid and what every error says,
-then stores the whole group or only the noted rows, a cleared group's as they are
-(every group's key stays). `load_runs` runs it on each file's groups when that file
-ends, and on a group that crosses files after a second read, every id packed, of only
-the files that hold it, so it holds one file's segments and one chunk's tokens at a
-time. The judgment reader splits the same chunks the same way, and reads any other
-chunk line by line. `JudgmentSet` indexes its grades and relevant documents by query.
+`load_runs` and the stream of `parse_run_file`. It splits a chunk of whole lines as
+bytes with one `bytes.split` where it can (see `_tokens`), else line by line, and cuts
+the chunk on its own into (system, query) segments, at rank-1 rows and key changes.
+In `load_runs(..., judged=J)` it clears each segment's ids as it reads them and holds
+only the ids of the rows of documents that J grades relevant or partially relevant
+(see `_clear`). One group check, which `RunSet(entries)` shares, is the only place that
+joins a group's segments and decides what is valid and what every error says.
+`load_runs` reads each file on its own and checks its groups when it ends, so it holds
+one file's segments and one chunk's tokens at a time; it then merges the files in
+order, checking a group that crosses files or is foreign to one (see `_clear`) after a
+second read of only the files that hold it. The judgment reader splits the same chunks
+the same way. `JudgmentSet` indexes its grades and relevant documents by query.
 
 All parsed structures are immutable after construction and safe to share
 across threads.
@@ -161,8 +153,7 @@ class RunSet:
 
 
 def _cut(segments: _Segments, columns: Sequence, source: int, first: int | None,
-         keep: _Keep | None = None, opened: list | None = None, earlier: dict | None = None
-         ) -> bool:
+         keep: _Keep | None = None, opened: list | None = None) -> bool:
     """Add the rows of the columns (queries, docs, ranks, scores, systems) to `segments`,
     cut at each rank 1 and then at each change of key; `first` is the line number of row 0,
     None for entries. Columns of bytes hold rank tokens: unless each segment's count up
@@ -204,7 +195,7 @@ def _cut(segments: _Segments, columns: Sequence, source: int, first: int | None,
         if keep is not None:
             if opened is not None:
                 wanted = wanted.intersection(
-                    _clear(opened, segments, (system, query), seg_ranks, seg_docs, earlier))
+                    _clear(opened, segments, (system, query), seg_ranks, seg_docs))
             kept = array("I", compress(count(), map(wanted.__contains__, seg_docs)))
             if not keep.every_score:
                 seg_scores = map(seg_scores.__getitem__, kept)
@@ -226,26 +217,27 @@ class _Unclear(Exception):
 
 
 def _clear(opened: list, segments: _Segments, key: tuple[str, str], ranks: range | tuple,
-           docs: Sequence, earlier: dict) -> set:
+           docs: Sequence) -> set:
     """The ids of a segment's group read so far (tokens as split, bytes or text), once the
     segment's are cleared: the segment starts a group at rank 1 whose key `segments` does
     not hold yet, or continues the group `opened` by the segment before it ([key, next
     rank, ids]; only a chunk's row 0 can, as a chunk is cut at each rank 1 and key change),
     and adding its ids to the group's set leaves none there twice. The segment's group is
-    then `opened`. Any other segment raises `_Unclear`, and its input is read again with
-    every id held, for `_group` to judge: so an input that clears holds each group once,
-    in rank order from 1, with no id twice. A segment of a group that `earlier` inputs hold
-    keeps no row: the group is read again whole."""
-    if key in earlier:
-        opened.clear()
-        return set()
+    then `opened`. A group whose first segment in the input counts up from past rank 1 is
+    foreign: each of its segments keeps no row. Any other segment raises `_Unclear`, and
+    its input is read again with every id held, for `_group` to judge: so an input that
+    clears holds each of its other groups once, in rank order from 1, with no id twice."""
     if type(ranks) is not range:
         raise _Unclear
+    segs = segments.get(key)
     if opened and opened[0] == key and ranks.start == opened[1]:
         ids = opened[2]
         if type(docs[0]) is not type(next(iter(ids))):  # one chunk split as bytes, one as text
             ids = {d.decode() if isinstance(d, bytes) else d.encode() for d in ids}
-    elif ranks.start == 1 and key not in segments:
+    elif (ranks if segs is None else segs[0].ranks).start > 1:  # foreign
+        opened.clear()
+        return set()
+    elif segs is None:
         ids = set()
     else:
         raise _Unclear
@@ -280,29 +272,29 @@ def _plain_first(tokens: list[bytes]) -> int | None:
 
 
 def _checked(segments: _Segments, strict_scores: bool, names: list[str] | None = None,
-             held: dict[tuple[str, str], ValidationError] | None = None) -> _RunColumns:
+             hold: bool = False) -> dict:
     """Join each group's segments into (docs, ranks, scores) columns in rank order.
 
     This is the one place where a group's segments are joined; it pops them
     from `segments` as it goes and unpacks one group's documents at a time, so
     no group is held twice. Groups are checked in first-appearance order; the
-    first error is raised, or, given `held`, each group's error is stored there
-    by key (without its traceback, which would keep the group's columns alive)
-    and the check goes on.
+    first error is raised, or, with `hold`, stored in place of the group's
+    columns (without its traceback, which would keep them alive) and the check
+    goes on.
     """
-    groups: _RunColumns = {}
+    groups = {}
     for key in list(segments):
         try:
             groups[key] = _group(key, segments.pop(key), strict_scores, names)
         except ValidationError as exc:
-            if held is None:
+            if not hold:
                 raise
-            held[key] = exc.with_traceback(None)
+            groups[key] = exc.with_traceback(None)
     return groups
 
 
 def _group(key: tuple[str, str], segs: list[_Segment], strict_scores: bool,
-           names: list[str] | None) -> tuple[Sequence[str], Sequence[int], Sequence[float]]:
+           names: list[str] | None) -> tuple[Sequence[str], Sequence[int], Sequence[float]] | None:
     """One group's (docs, ranks, scores) columns in rank order, checked.
 
     Segments whose ranks chain 1..n are joined as they are, others merged by rank.
@@ -315,10 +307,12 @@ def _group(key: tuple[str, str], segs: list[_Segment], strict_scores: bool,
     only those rows; its segments then hold every row's score only under
     `strict_scores`, else only the kept rows', and every row's id unless the read
     cleared them (see `_clear`), which leaves one input, chained from rank 1, with no
-    id twice: its kept rows are joined as they are.
+    id twice: its kept rows are joined as they are. A foreign group there gives None.
     """
     lines_known = segs[0].line is not None
     packed = isinstance(segs[0].docs, str)  # every row's id, else a cleared read's kept ones
+    if lines_known and not packed and segs[0].ranks.start > 1:  # foreign (see `_clear`)
+        return None
     if lines_known and not packed and not strict_scores:  # cleared: its kept rows as they are
         return (_joined([seg.docs for seg in segs]),
                 tuple(chain.from_iterable(map(seg.ranks.__getitem__, seg.kept) for seg in segs)),
@@ -519,27 +513,27 @@ _OFF_SPLIT = (b"#", b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def _read_runs(reads: Iterable[bytes], segments: _Segments, source: int,
-               keep: _Keep | None = None, earlier: dict | None = None) -> None:
+               keep: _Keep | None = None, clear: bool = False) -> None:
     """Read one run input into `segments`, in chunks cut after the last newline of a read.
 
     Each chunk is cut on its own; only the partial last line carries over to the
     next, and `_checked` joins a group's segments. A chunk that does not split as
     bytes with plain ranks is decoded and split line by line; one with a line that
     does not convert is read again line by line, for the error of its first such line.
-    With `keep` and the groups of `earlier` inputs, each segment's ids are cleared as they
-    are read (see `_clear`, which may raise `_Unclear`), and only the kept rows' ids are held.
+    With `keep` and `clear`, each segment's ids are cleared as they are read (see
+    `_clear`, which may raise `_Unclear`), and only the kept rows' ids are held.
     """
-    opened = [] if keep is not None and earlier is not None else None
+    opened = [] if clear else None
     for lineno, text, lines in _chunks(reads):
         columns = _split(text, lines)
-        if columns is None or not _cut(segments, columns, source, lineno, keep, opened, earlier):
+        if columns is None or not _cut(segments, columns, source, lineno, keep, opened):
             decoded = text.decode()
             try:
                 pieces = _rows(decoded, lineno)
             except ValueError:
                 _raise_first_fault(decoded.split("\n"), lineno)
             for first, piece in pieces:
-                _cut(segments, piece, source, first, keep, opened, earlier)
+                _cut(segments, piece, source, first, keep, opened)
 
 
 def _chunks(reads: Iterable[bytes]) -> Iterator[tuple[int, bytes, int]]:
@@ -721,18 +715,15 @@ def load_runs(path: str | Path, strict_scores: bool = False, *,
               judged: JudgmentSet | None = None, digests: dict[str, str] | None = None) -> RunSet:
     """Load runs from a single file or from every regular file in a directory.
 
-    Each file is read, in name order, by the run reader, and its groups are
-    checked when it ends, so the reader holds one file's segments at a time. A
-    group may continue from one file into another: a key that a later file
-    holds again drops its earlier result, and such groups are checked whole at
-    the end, from a second read of only the files that hold them. A line error
-    names its file and line and is raised at once; group errors wait until
-    every file is read, and the first in first-appearance order is raised. It
-    names the files that hold the group. With `judged`, every group is checked
-    whole but keeps only its rows of documents that `judged` grades relevant or
-    partially relevant; a file whose ids do not clear as it is read (see
-    `_clear`) is read again from its start. `digests`, when given, receives the
-    SHA-256 of each file's bytes by file name, hashed as read in full.
+    Each file is read on its own, in name order (see `_read_run_file`), and the
+    results are merged in that order. A group that continues from one file into
+    another, or is foreign to one, is checked whole from a second read of only
+    the files that hold such groups. A line error names its file and line and
+    is raised at once; group errors wait until every file is read, and the first
+    in first-appearance order is raised, naming the files that hold the group.
+    With `judged`, every group is checked whole but keeps only its rows of
+    documents that `judged` grades relevant or partially relevant. `digests`,
+    when given, receives the SHA-256 of each file's bytes by file name.
     """
     path = Path(path)
     if path.is_dir():
@@ -744,34 +735,39 @@ def load_runs(path: str | Path, strict_scores: bool = False, *,
     names = [f.name for f in files]
     keep = None if judged is None else judged._kept(strict_scores)
     holders: dict[tuple[str, str], list[int]] = {}  # key -> its files, in first-appearance order
-    groups: _RunColumns = {}
-    held: dict[tuple[str, str], ValidationError] = {}
+    groups: dict = {}  # key -> its columns, its error or None (foreign), in the same order
     for source, f in enumerate(files):
-        segments: _Segments = {}
-        try:
-            _read_file(f, lambda reads: _read_runs(reads, segments, source, keep, holders),
-                       digests)
-        except _Unclear:  # read it again from its start, holding every id
-            segments.clear()
-            _read_file(f, lambda reads: _read_runs(reads, segments, source, keep), digests)
-        for key in list(segments):
+        for key, group in _read_run_file(f, source, keep, strict_scores, names, digests).items():
             holders.setdefault(key, []).append(source)
-            if len(holders[key]) > 1:  # a group across files
-                del segments[key]
-                groups.pop(key, None)
-                held.pop(key, None)
-        groups.update(_checked(segments, strict_scores, names, held))
-    across = {key for key, sources in holders.items() if len(sources) > 1}
-    segments = {}
+            groups[key] = group
+    across = {key for key, sources in holders.items() if len(sources) > 1 or groups[key] is None}
+    segments: _Segments = {}
     for source in sorted({s for key in across for s in holders[key]}):
         own: _Segments = {}
         _read_file(files[source], lambda reads: _read_runs(reads, own, source, keep), None)
         for key in filter(across.__contains__, own):
             segments.setdefault(key, []).extend(own[key])
-    groups.update(_checked(segments, strict_scores, names, held))
-    if held:
-        raise next(held[key] for key in holders if key in held)
+    groups.update(_checked(segments, strict_scores, names, hold=True))
+    for group in groups.values():
+        if isinstance(group, ValidationError):
+            raise group
     return RunSet._from_columns(groups)
+
+
+def _read_run_file(path: Path, source: int, keep: _Keep | None, strict_scores: bool,
+                   names: list[str], digests: dict | None) -> dict:
+    """Read input `source` of `names` on its own: each group's key, in first-appearance
+    order, with its checked columns, its error, or None if it is foreign (see `_clear`).
+    With `keep`, the ids are cleared as read; if they do not clear, the file is read again
+    from its start with every id held, which leaves no group foreign."""
+    segments: _Segments = {}
+    try:
+        _read_file(path, lambda reads: _read_runs(reads, segments, source, keep,
+                                                  clear=keep is not None), digests)
+    except _Unclear:
+        segments.clear()
+        _read_file(path, lambda reads: _read_runs(reads, segments, source, keep), digests)
+    return _checked(segments, strict_scores, names, hold=True)
 
 
 def _file_reads(fh: IO[bytes], digest) -> Iterator[bytes]:
@@ -818,9 +814,10 @@ def _read_file(path: Path, read: Callable[[Iterator[bytes]], Any], digests: dict
 
 def _decode_error(path: Path, exc: UnicodeDecodeError) -> ParseError:
     """Name the file and the first line of it that is not valid UTF-8, with that line's
-    reason, which a text-mode read of the file gives too."""
+    reason; its lines end at LF, CRLF or CR, as `_file_reads` ends them."""
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        lines = chain.from_iterable(raw.splitlines(keepends=True) for raw in fh)
+        for lineno, raw in enumerate(lines, start=1):
             try:
                 raw.decode("utf-8")
             except UnicodeDecodeError as error:

@@ -568,6 +568,25 @@ def test_non_utf8_run_files_name_the_line_and_reason(tmp_path, capsys, tail, rea
         f"error: runs.txt: line 5: not valid UTF-8 ({reason})")
 
 
+@pytest.mark.parametrize("end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+@pytest.mark.parametrize(
+    "which,bad,line",
+    [("runs", RUNS.encode().replace(b"d2 2", b"d\xff2 2", 1), 2),
+     ("qrels", (QRELS + "q1 0 d3 0\n").encode().replace(b"d2", b"d\xff2"), 2)],
+    ids=["runs", "qrels"],
+)
+def test_non_utf8_lines_are_counted_at_cr_and_crlf_ends(tmp_path, capsys, which, bad, line, end):
+    """A line that is not UTF-8 is named by its number among lines that end at CR or CRLF,
+    as the reader ends them, with lines after it."""
+    files = {"runs": RUNS.encode(), "qrels": QRELS.encode(), which: bad}
+    for name, data in files.items():
+        (tmp_path / f"{name}.txt").write_bytes(data.replace(b"\n", end))
+    argv = ["--runs", str(tmp_path / "runs.txt"), "--qrels", str(tmp_path / "qrels.txt")]
+    assert main(argv) == 1
+    assert _single_error_line(capsys.readouterr().err) == (
+        f"error: {which}.txt: line {line}: not valid UTF-8 (invalid start byte)")
+
+
 @pytest.mark.parametrize(
     "option,value,message",
     [

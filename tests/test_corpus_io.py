@@ -3,7 +3,7 @@ import io
 import json
 import random
 import tracemalloc
-from itertools import combinations, compress, cycle
+from itertools import combinations, compress, cycle, groupby
 from pathlib import Path
 
 import pytest
@@ -25,6 +25,7 @@ from noveval import (
 from noveval import corpus_io
 from noveval.cli import main
 from noveval.errors import ConfigError
+from noveval.synth import SyntheticSpec, generate
 
 
 def _judged_rows(runs: RunSet, judgments: JudgmentSet) -> RunSet:
@@ -441,6 +442,36 @@ def test_group_split_across_files_at_every_rank(tmp_path, monkeypatch, n_files, 
                 assert str(info.value) == f"{files}: {faults[fault][1]} ({name} line {line})"
 
 
+@pytest.mark.parametrize("chunk_chars", [40, 1 << 15])
+def test_groups_cut_across_files_at_random_lines_load_as_one_file(tmp_path, monkeypatch,
+                                                                   chunk_chars):
+    """A synth corpus's lines cut at random line numbers into 2-4 files, in order and
+    reversed: the whole load reads as the one file does, and the judged load keeps its
+    judged rows. Odd cases cut the whole text; even cases cut every group apart, piece k of
+    each in file k, so every group crosses files and is foreign to most of them."""
+    monkeypatch.setattr(corpus_io, "_CHUNK_CHARS", chunk_chars)
+    rng = random.Random(26)
+    for case in range(8):
+        runs, judgments = generate(SyntheticSpec(3, 2, 30, 6, 0.5, 1, seed=case))
+        sink = io.StringIO()
+        write_run_file(runs, sink)
+        lines = sink.getvalue().splitlines(keepends=True)
+        units = [lines] if case % 2 else [
+            list(group) for _, group in groupby(lines, key=lambda line: line.split()[::5])]
+        pieces = [[] for _ in range(rng.randint(2, 4))]
+        for unit in units:
+            cuts = sorted(rng.choices(range(len(unit) + 1), k=len(pieces) - 1))
+            for piece, a, b in zip(pieces, [0, *cuts], [*cuts, len(unit)]):
+                piece.extend(unit[a:b])
+        expected = parse_run_file(io.StringIO("".join(lines)))
+        for order in (pieces, pieces[::-1]):
+            path = _write_dir(tmp_path / f"case{case}-{'reversed' * (order is not pieces)}",
+                              {f"f{i}.txt": "".join(piece) for i, piece in enumerate(order)})
+            whole = load_runs(path)
+            assert whole == expected, case
+            assert load_runs(path, judged=judgments) == _judged_rows(whole, judgments), case
+
+
 def test_gap_that_a_later_file_fills_loads(tmp_path):
     path = _write_dir(tmp_path / "runs", {"a.txt": "q1 0 d1 1 0.9 s1\nq1 0 d3 3 0.7 s1\n",
                                           "b.txt": "q1 0 d2 2 0.8 s1\n"})
@@ -521,6 +552,55 @@ def test_a_group_continued_from_an_earlier_file_reads_each_file_twice(tmp_path, 
         assert opened == ["a.txt", "b.txt", "a.txt", "b.txt"]
         assert runs.ranking("s1", "q1") == ({"d1": 1, "d2": 2, "d3": 3} if judged is None
                                             else {"d1": 1, "d3": 3})
+
+
+_GAP = "ranks for system 's1', query 'q1' are not contiguous 1..1 (missing [1])"
+
+
+@pytest.mark.parametrize(
+    "texts,message,judged_opens",
+    [
+        # No other file holds the group that a.txt starts at rank 2.
+        ({"a.txt": "q1 0 d2 2 0.8 s1\n"}, f"a.txt: {_GAP}", ["a.txt", "a.txt"]),
+        # Its rank 1 comes back later in a.txt: the group is valid, and b.txt is not read again.
+        ({"a.txt": "q1 0 d2 2 0.8 s1\nq2 0 d1 1 0.9 s1\nq1 0 d1 1 0.9 s1\n",
+          "b.txt": "q3 0 d1 1 0.9 s1\n"}, None, ["a.txt", "b.txt", "a.txt"]),
+        # Beside a valid group and a later one whose score rises, an error under strict
+        # scores: its gap appears first and is raised.
+        ({"a.txt": "q1 0 d2 2 0.8 s1\nq2 0 d1 1 0.9 s1\nq3 0 d1 1 0.1 s1\nq3 0 d2 2 0.8 s1\n",
+          "b.txt": "q3 0 d1 1 0.9 s2\n"}, f"a.txt: {_GAP}", ["a.txt", "b.txt", "a.txt"]),
+    ],
+    ids=["alone", "comes_back", "before_a_later_error"],
+)
+@pytest.mark.parametrize("chunk_chars", [1, 40, 1 << 15])
+def test_a_foreign_group_no_other_file_holds_is_read_again_whole(
+        tmp_path, monkeypatch, texts, message, judged_opens, chunk_chars):
+    """A group whose part in a file starts past rank 1 is foreign there: a judged read keeps
+    none of its rows, and only its file is read again, for the group's check. A whole read
+    reads each file once. Under strict scores, the later group of the third layout fails too,
+    and the one that appears first is raised."""
+    path = _write_dir(tmp_path / "runs", texts)
+    monkeypatch.setattr(corpus_io, "_CHUNK_CHARS", chunk_chars)
+    judgments = _graded([RunEntry("q1", d, 1, 0.0, "s1") for d in ("d1", "d2", "d3")])
+    opened = []
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(Path(file).name)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(corpus_io, "open", recording_open, raising=False)
+    for strict in (False, True):
+        for judged, opens in ((None, sorted(texts)), (judgments, judged_opens)):
+            opened.clear()
+            if message is None:
+                runs = load_runs(path, strict, judged=judged)
+                assert runs.ranking("s1", "q1") == ({"d1": 1, "d2": 2} if judged is None
+                                                    else {"d1": 1})
+            else:
+                with pytest.raises(ValidationError) as info:
+                    load_runs(path, strict, judged=judged)
+                assert str(info.value) == message
+            assert opened == opens
 
 
 @pytest.mark.parametrize("strict", [False, True])
