@@ -16,12 +16,17 @@ dropped.
 A `RunSet` stores each (system, query) group as three columns in rank order:
 document ids, ranks and scores. One reader takes every run input, each file of
 `load_runs` and the stream of `parse_run_file`. It splits a chunk of whole lines as
-bytes with one `bytes.split` where it can (see `_tokens`), else line by line, and cuts
-the chunk on its own into (system, query) segments, at rank-1 rows and key changes.
-In `load_runs(..., judged=J)` it clears each segment's ids as it reads them and holds
-only the ids of the rows of documents that J grades relevant or partially relevant
-(see `_clear`). One group check, which `RunSet(entries)` shares, is the only place that
-joins a group's segments and decides what is valid and what every error says.
+bytes with one `bytes.split` where it can, else line by line, and cuts the chunk on its
+own into (system, query) segments, at rank-1 rows and key changes. Lines of single
+spaces split there, five tokens a line: each line's system and the next line's query
+share a token, which proves the field count and, a window at a time, the key (see
+`_five`); other lines split with a NUL token a line (see `_tokens`). A score column of
+digits around one "." is finite by its shape, and only the scores that a segment keeps
+are converted (see `_scores`). In `load_runs(..., judged=J)` the reader clears each
+segment's ids as it reads them and holds only the ids of the rows of documents that J
+grades relevant or partially relevant (see `_clear`). One group check, which
+`RunSet(entries)` shares, is the only place that joins a group's segments and decides
+what is valid and what every error says.
 `load_runs` reads each file on its own and checks its groups when it ends, so it holds
 one file's segments and one chunk's tokens at a time; it then merges the files in
 order, checking a group that crosses files or is foreign to one (see `_clear`) after a
@@ -110,7 +115,7 @@ class RunSet:
         rows = [(e.query, e.doc, e.rank, e.score, e.system) for e in entries]
         segments: _Segments = {}
         if rows:
-            _cut(segments, [list(column) for column in zip(*rows)], 0, None)
+            _cut(segments, _windowed(*map(list, zip(*rows))), 0, None)
         self._groups = _checked(segments, strict_scores)
 
     @classmethod
@@ -152,32 +157,42 @@ class RunSet:
         return sum(len(docs) for docs, _, _ in self._groups.values())
 
 
-def _cut(segments: _Segments, columns: Sequence, source: int, first: int | None,
-         keep: _Keep | None = None, opened: list | None = None) -> bool:
-    """Add the rows of the columns (queries, docs, ranks, scores, systems) to `segments`,
-    cut at each rank 1 and then at each change of key; `first` is the line number of row 0,
-    None for entries. Columns of bytes hold rank tokens: unless each segment's count up
-    from its first in plain digits ("1", "2", ...), nothing is added and the result is
-    False. With `keep`, a segment also holds the offsets of its rows of the kept documents,
-    and unless `keep.every_score` only those rows' scores; with `opened` too, its ids are
-    cleared by `_clear`, and only the kept rows' ids are decoded and held."""
-    queries, docs, ranks, scores, systems = columns
-    raw = isinstance(ranks[0], bytes)
-    one = b"1" if raw else 1
-    bounds = [0]
-    while bounds[-1] < len(ranks):  # rows a..b run from one rank 1 to the next
-        a = bounds[-1]
+def _windowed(queries: list, docs: list, ranks: list, scores: list, systems: list) -> list:
+    """The rows of the columns (queries, docs, ranks, scores, systems) as `_cut` takes them:
+    [windows, docs, ranks, scores], each window (first row, end, query, system) of rows of
+    one key, cut at each rank 1 and then at each change of key."""
+    one = b"1" if isinstance(ranks[0], bytes) else 1
+    windows, a, n = [], 0, len(ranks)
+    while a < n:  # rows a..b run from one rank 1 to the next
         try:
             b = ranks.index(one, a + 1)
         except ValueError:
-            b = len(ranks)
+            b = n
         if queries[a:b].count(queries[a]) == systems[a:b].count(systems[a]) == b - a:
-            bounds.append(b)
+            windows.append((a, b, queries[a], systems[a]))
         else:
-            for _, run in groupby(zip(systems[a:b], queries[a:b])):
-                bounds.append(bounds[-1] + len(list(run)))
+            for (system, query), run in groupby(zip(systems[a:b], queries[a:b])):
+                end = a + len(list(run))
+                windows.append((a, end, query, system))
+                a = end
+        a = b
+    return [windows, docs, ranks, scores]
+
+
+def _cut(segments: _Segments, rows: list, source: int, first: int | None,
+         keep: _Keep | None = None, opened: list | None = None) -> bool:
+    """Add the rows [windows, docs, ranks, scores] (see `_windowed`) to `segments`, a
+    segment a window; `first` is the line number of row 0, None for entries. Rows of bytes
+    hold rank tokens: unless each window's count up from its first in plain digits ("1",
+    "2", ...), nothing is added and the result is False. Their scores are floats, or tokens
+    proven finite (see `_scores`), converted here only for the rows a segment holds. With
+    `keep`, a segment also holds the offsets of its rows of the kept documents, and unless
+    `keep.every_score` only those rows' scores; with `opened` too, its ids are cleared by
+    `_clear`, and only the kept rows' ids are decoded and held."""
+    windows, docs, ranks, scores = rows
+    raw = isinstance(ranks[0], bytes)
     cuts = []
-    for a, b in zip(bounds, bounds[1:]):
+    for a, b, _, _ in windows:
         if raw:
             r = _plain_first(ranks[a:b])
             if r is None:
@@ -186,19 +201,30 @@ def _cut(segments: _Segments, columns: Sequence, source: int, first: int | None,
         else:
             counting = range(ranks[a], ranks[a] + b - a)
             cuts.append(counting if ranks[a:b] == list(counting) else tuple(ranks[a:b]))
-    for a, b, seg_ranks in zip(bounds, bounds[1:], cuts):
-        query, system, seg_docs, seg_scores = queries[a], systems[a], docs[a:b], scores[a:b]
+    spelled = type(scores[0]) is bytes
+    for (a, b, query, system), seg_ranks in zip(windows, cuts):
+        seg_docs, seg_scores = docs[a:b], scores[a:b]
         wanted = keep and (keep.raw if raw else keep.text).get(query, frozenset())
         if raw:
             query, system = query.decode(), system.decode()
+        found = None
+        if opened is not None:
+            found = _clear(opened, segments, (system, query), seg_ranks, seg_docs, wanted)
+            if found is None:
+                continue  # foreign: no row kept
         kept = None
         if keep is not None:
-            if opened is not None:
-                wanted = wanted.intersection(
-                    _clear(opened, segments, (system, query), seg_ranks, seg_docs))
-            kept = array("I", compress(count(), map(wanted.__contains__, seg_docs)))
+            # A cleared segment's few kept rows are placed by index: each scan from row 0
+            # costs about a fifth of a membership test a row, so 8 cost at most 1.7x the
+            # tests, and far less where the kept rows rank high, as relevant ones do.
+            if found is not None and len(found) <= 8:
+                kept = array("I", sorted(map(seg_docs.index, found)))
+            else:
+                kept = array("I", compress(count(), map(wanted.__contains__, seg_docs)))
             if not keep.every_score:
                 seg_scores = map(seg_scores.__getitem__, kept)
+        if spelled:
+            seg_scores = map(float, seg_scores)
         if opened is not None:
             kept_docs = map(seg_docs.__getitem__, kept)
             packed = tuple(map(bytes.decode, kept_docs) if raw else kept_docs)
@@ -217,16 +243,19 @@ class _Unclear(Exception):
 
 
 def _clear(opened: list, segments: _Segments, key: tuple[str, str], ranks: range | tuple,
-           docs: Sequence) -> set:
-    """The ids of a segment's group read so far (tokens as split, bytes or text), once the
-    segment's are cleared: the segment starts a group at rank 1 whose key `segments` does
-    not hold yet, or continues the group `opened` by the segment before it ([key, next
-    rank, ids]; only a chunk's row 0 can, as a chunk is cut at each rank 1 and key change),
-    and adding its ids to the group's set leaves none there twice. The segment's group is
-    then `opened`. A group whose first segment in the input counts up from past rank 1 is
-    foreign: each of its segments keeps no row. Any other segment raises `_Unclear`, and
-    its input is read again with every id held, for `_group` to judge: so an input that
-    clears holds each of its other groups once, in rank order from 1, with no id twice."""
+           docs: Sequence, wanted: frozenset) -> set | None:
+    """The segment's ids (tokens as split, bytes or text) that `wanted` holds, once they
+    clear, else None. They clear if the segment starts a group at rank 1 whose key
+    `segments` does not hold yet, or continues the group `opened` by the segment before it
+    ([key, next rank, ids]; only a chunk's row 0 can, as a chunk is cut at each rank 1 and
+    key change), and adding its ids to the group's set leaves none there twice. The
+    segment's group is then `opened`. A group is foreign to the input if its first segment
+    there counts up from past rank 1, or an id of it comes twice (which its check, after a
+    second read, rejects): its segments are dropped, none of its later ones is kept, and
+    `segments` holds it with none. Any other segment raises `_Unclear` (the key back, or
+    ranks that do not count up), and its input is read again with every id held, for
+    `_group` to judge: so an input that clears holds each of its groups foreign or once, in
+    rank order from 1, with no id twice."""
     if type(ranks) is not range:
         raise _Unclear
     segs = segments.get(key)
@@ -234,19 +263,21 @@ def _clear(opened: list, segments: _Segments, key: tuple[str, str], ranks: range
         ids = opened[2]
         if type(docs[0]) is not type(next(iter(ids))):  # one chunk split as bytes, one as text
             ids = {d.decode() if isinstance(d, bytes) else d.encode() for d in ids}
-    elif (ranks if segs is None else segs[0].ranks).start > 1:  # foreign
-        opened.clear()
-        return set()
+    elif segs == [] or segs is None and ranks.start > 1:
+        ids = None  # foreign
     elif segs is None:
         ids = set()
     else:
         raise _Unclear
-    held = len(ids)
-    ids.update(docs)
-    if len(ids) < held + len(docs):
-        raise _Unclear
-    opened[:] = key, ranks.stop, ids
-    return ids
+    if ids is not None:
+        held, seen = len(ids), wanted.intersection(ids)  # each a scan of the smaller set
+        ids.update(docs)
+        if len(ids) == held + len(docs):
+            opened[:] = key, ranks.stop, ids
+            return wanted.intersection(ids).difference(seen)
+    segments[key] = []  # foreign
+    opened.clear()
+    return None
 
 
 #: b"1", b"2", ...: rank tokens in plain digits. A memo of its length alone, replaced
@@ -280,12 +311,14 @@ def _checked(segments: _Segments, strict_scores: bool, names: list[str] | None =
     no group is held twice. Groups are checked in first-appearance order; the
     first error is raised, or, with `hold`, stored in place of the group's
     columns (without its traceback, which would keep them alive) and the check
-    goes on.
+    goes on. A group held with no segment is foreign to its input (see `_clear`)
+    and gives None.
     """
     groups = {}
     for key in list(segments):
+        segs = segments.pop(key)
         try:
-            groups[key] = _group(key, segments.pop(key), strict_scores, names)
+            groups[key] = _group(key, segs, strict_scores, names) if segs else None
         except ValidationError as exc:
             if not hold:
                 raise
@@ -294,7 +327,7 @@ def _checked(segments: _Segments, strict_scores: bool, names: list[str] | None =
 
 
 def _group(key: tuple[str, str], segs: list[_Segment], strict_scores: bool,
-           names: list[str] | None) -> tuple[Sequence[str], Sequence[int], Sequence[float]] | None:
+           names: list[str] | None) -> tuple[Sequence[str], Sequence[int], Sequence[float]]:
     """One group's (docs, ranks, scores) columns in rank order, checked.
 
     Segments whose ranks chain 1..n are joined as they are, others merged by rank.
@@ -307,12 +340,10 @@ def _group(key: tuple[str, str], segs: list[_Segment], strict_scores: bool,
     only those rows; its segments then hold every row's score only under
     `strict_scores`, else only the kept rows', and every row's id unless the read
     cleared them (see `_clear`), which leaves one input, chained from rank 1, with no
-    id twice: its kept rows are joined as they are. A foreign group there gives None.
+    id twice: its kept rows are joined as they are.
     """
     lines_known = segs[0].line is not None
     packed = isinstance(segs[0].docs, str)  # every row's id, else a cleared read's kept ones
-    if lines_known and not packed and segs[0].ranks.start > 1:  # foreign (see `_clear`)
-        return None
     if lines_known and not packed and not strict_scores:  # cleared: its kept rows as they are
         return (_joined([seg.docs for seg in segs]),
                 tuple(chain.from_iterable(map(seg.ranks.__getitem__, seg.kept) for seg in segs)),
@@ -511,6 +542,9 @@ _CHUNK_CHARS = 1 << 15
 #: tell from data, and the separators that str.split splits on and bytes.split does not.
 _OFF_SPLIT = (b"#", b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
+#: The other whitespace but newline and space, which keeps a chunk from `_five`'s split.
+_OFF_SPACE = (b"\t", b"\x0b", b"\x0c", b"\r")
+
 
 def _read_runs(reads: Iterable[bytes], segments: _Segments, source: int,
                keep: _Keep | None = None, clear: bool = False) -> None:
@@ -524,9 +558,10 @@ def _read_runs(reads: Iterable[bytes], segments: _Segments, source: int,
     `_clear`, which may raise `_Unclear`), and only the kept rows' ids are held.
     """
     opened = [] if clear else None
+    every_score = keep is None or keep.every_score
     for lineno, text, lines in _chunks(reads):
-        columns = _split(text, lines)
-        if columns is None or not _cut(segments, columns, source, lineno, keep, opened):
+        rows = _split(text, lines, every_score)
+        if rows is None or not _cut(segments, rows, source, lineno, keep, opened):
             decoded = text.decode()
             try:
                 pieces = _rows(decoded, lineno)
@@ -552,12 +587,15 @@ def _chunks(reads: Iterable[bytes]) -> Iterator[tuple[int, bytes, int]]:
         lineno += lines
 
 
+def _byte_split(text: bytes) -> bool:
+    """Whether the byte splits may take `text`: ASCII, without "#", NUL or \\x1c-\\x1f."""
+    return text.isascii() and not any(map(text.__contains__, _OFF_SPLIT))
+
+
 def _tokens(text: bytes, n: int, fields: int, decode: bool = False) -> list | None:
-    """The tokens, as bytes or `decode`d (both split alike here), of an ASCII `text` without
-    "#", NUL or \\x1c-\\x1f, split once with a NUL token per newline, if its n lines all hold
+    """The tokens, as bytes or `decode`d (both split alike here), of a `text` that
+    `_byte_split` takes, split once with a NUL token per newline, if its n lines all hold
     `fields` fields: exactly when that gives (fields + 1) n tokens, a NUL after every `fields`."""
-    if not text.isascii() or any(map(text.__contains__, _OFF_SPLIT)):
-        return None
     text = text.replace(b"\n", b" \x00 ")
     toks = (text.decode() if decode else text).split()
     step = fields + 1
@@ -566,19 +604,79 @@ def _tokens(text: bytes, n: int, fields: int, decode: bool = False) -> list | No
     return toks
 
 
-def _split(text: bytes, n: int) -> list | None:
-    """The columns (queries, docs, ranks, scores, systems) of n lines that `_tokens` splits
-    into 6 fields each, with finite scores (converted; ranks left as tokens), else None."""
-    toks = _tokens(text, n, 6)
-    if toks is None:
+def _split(text: bytes, n: int, every_score: bool) -> list | None:
+    """The rows (see `_cut`) of n lines of 6 fields each, split as bytes: at single spaces
+    (see `_five`), else with the NUL tokens of `_tokens`; ranks left as tokens and scores as
+    `_scores` gives them, all converted when the read holds `every_score`. None if the text
+    does not split so or a score is not finite."""
+    if not _byte_split(text):
         return None
+    rows = _five(text, n)
+    if rows is None:
+        toks = _tokens(text, n, 6)
+        if toks is None:
+            return None
+        rows = _windowed(toks[0::7], toks[2::7], toks[3::7], toks[4::7], toks[5::7])
+    rows[3] = _scores(rows[3], every_score)
+    return None if rows[3] is None else rows
+
+
+def _five(text: bytes, n: int) -> list | None:
+    """The rows (see `_cut`) of n lines split at single spaces, five tokens a line, if that
+    proves each line holds 6 fields and each rank-1 window one key, else None.
+
+    Split so, lines of 5 spaces each give 5n + 1 tokens, and every fifth token joins one
+    line's system to the next line's query ("sys\\nq"); the last ends the text ("sys\\n").
+    These n merged tokens prove the field count, as `_tokens`' NUL tokens do: if each holds
+    a newline, they hold all n, one each, so no other token holds one and each line holds 5
+    spaces. They are checked a window at a time (rows a..b, from one rank 1 to the next):
+    its key is `system\\nquery`, from the token before the window and the window's last, and
+    the tokens between must all equal it. With no empty part or doc or "Q0" token, each line
+    holds 6 non-empty fields, as str.split reads them. A text with other whitespace, runs of
+    spaces, a window whose key changes or an empty token gives None."""
+    if text.count(b" ", 0, text.find(b"\n")) != 5 or any(map(text.__contains__, _OFF_SPACE)):
+        return None  # the first line alone spares a split that cannot pass
+    toks = text.split(b" ")
+    if len(toks) != 5 * n + 1:
+        return None
+    merged, docs, ranks = toks[5::5], toks[2::5], toks[3::5]
+    if not (all(docs) and all(toks[1::5])):  # an empty doc or "Q0" token
+        return None
+    windows, a, query = [], 0, toks[0]
+    while a < n:
+        try:
+            b = ranks.index(b"1", a + 1)
+        except ValueError:
+            b = n
+        system, newline, after = merged[b - 1].partition(b"\n")
+        key = system + b"\n" + query
+        if not (query and system and newline) or merged[a:b - 1].count(key) != b - 1 - a:
+            return None
+        windows.append((a, b, query, system))
+        a, query = b, after
+    return [windows, docs, ranks, toks[4::5]]
+
+
+#: Every digit as "0", for the shape of a score column (see `_scores`).
+_DIGITS_AS_ZERO = bytes.maketrans(b"123456789", b"000000000")
+
+
+def _scores(tokens: list[bytes], convert: bool) -> list | None:
+    """A score column: unless `convert`, its tokens as they are if their shape proves each a
+    finite number, else converted, if each converts and is finite, else None. The shape:
+    each token is digits around one ".", not a bare ".", so float() reads it, with no run of
+    300 digits, so it is below 1e300 and cannot overflow to inf. Joined, with every digit as
+    "0", it is checked whole, with no float() a row."""
+    if not convert:
+        shape = (b" %b " % b" ".join(tokens)).translate(_DIGITS_AS_ZERO)
+        if (shape.translate(None, b"0") == b" ." * len(tokens) + b" "
+                and b" . " not in shape and b"0" * 300 not in shape):
+            return tokens
     try:
-        scores = list(map(float, toks[4::7]))
+        scores = list(map(float, tokens))
     except ValueError:
         return None
-    if not _finite(scores):
-        return None
-    return [toks[0::7], toks[2::7], toks[3::7], scores, toks[5::7]]
+    return scores if _finite(scores) else None
 
 
 def _rows(text: str, lineno: int) -> list[tuple[int, list]]:
@@ -596,7 +694,7 @@ def _rows(text: str, lineno: int) -> list[tuple[int, list]]:
             ranks, scores = list(map(int, ranks)), list(map(float, scores))
             if min(ranks) < 1 or not _finite(scores):
                 raise ValueError("a rank below 1 or a score that is not finite")
-            pieces.append((lineno + a, [queries, docs, ranks, scores, systems]))
+            pieces.append((lineno + a, _windowed(queries, docs, ranks, scores, systems)))
     return pieces
 
 
@@ -672,7 +770,7 @@ def _judge_plain(text: bytes, n: int, plain: dict[str, Relevance],
                  by_query: dict[str, dict[str, Relevance]]) -> bool:
     """Store the judgments of a plain chunk of n lines (see `_read_judgments`), or return
     False at its first run of rows that repeats a document or meets one already graded."""
-    toks = _tokens(text, n, 4, decode=True)
+    toks = _tokens(text, n, 4, decode=True) if _byte_split(text) else None
     if toks is None:
         return False
     try:

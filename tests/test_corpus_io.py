@@ -554,6 +554,29 @@ def test_a_group_continued_from_an_earlier_file_reads_each_file_twice(tmp_path, 
                                             else {"d1": 1, "d3": 3})
 
 
+@pytest.mark.parametrize("chunk_chars", [1, 40, 1 << 15])
+def test_a_group_with_an_id_twice_in_a_later_file_is_read_again_once(tmp_path, monkeypatch,
+                                                                      chunk_chars):
+    """b.txt's part of a group that a.txt starts begins at rank 1 but holds a document
+    twice: a judged read keeps none of its rows and leaves it to the merge's second read,
+    as it does a foreign group, so each file is read once before that read."""
+    path = _write_dir(tmp_path / "runs", {"a.txt": "q1 0 d1 1 0.9 s1\n",
+                                          "b.txt": "q1 0 d2 1 0.8 s1\nq1 0 d2 2 0.7 s1\n"})
+    monkeypatch.setattr(corpus_io, "_CHUNK_CHARS", chunk_chars)
+    opened = []
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(Path(file).name)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(corpus_io, "open", recording_open, raising=False)
+    judgments = _graded([RunEntry("q1", d, 1, 0.0, "s1") for d in ("d1", "d2")])
+    with pytest.raises(ValidationError) as info:
+        load_runs(path, judged=judgments)
+    assert str(info.value) == f"b.txt: duplicate document 'd2' {_GROUP} (line 2)"
+    assert opened == ["a.txt", "b.txt", "a.txt", "b.txt"]
+
+
 _GAP = "ranks for system 's1', query 'q1' are not contiguous 1..1 (missing [1])"
 
 
@@ -880,11 +903,35 @@ _LONG_DOC = "d" * 70_000  # longer than every chunk size below
         ("q1 0 d1 01 0.9 s1\nq1 0 d2 +2 0.8 s1\n", [_E1, _E2]),
         ("q1 0 d1 1 0.9 s1\nq1 0 d2 0_2 0.8 s1\nq1 0 d3 3 0.7 s1\n",
          [_E1, _E2, RunEntry("q1", "d3", 3, 0.7, "s1")]),
+        # Lines that the split at single spaces must leave to the NUL split or fail.
+        ("q1 0 d1 1 0.9 s1 \nq1 0 d2 2 0.8 s1 \n", [_E1, _E2]),  # a trailing space
+        ("q1 0  d1 1 0.9 s1\nq1 0 d2 2 0.8 s1\n", [_E1, _E2]),  # a double space before a doc
+        ("q1 0 d1 1 0.9 s1\nq1 0  2 0.8 s1\n",  # an empty doc column
+         "line 2: expected 6 whitespace-separated fields, got 5"),
+        ("q1  d1 1 0.9 s1\nq1 0 d2 2 0.8 s1\n",  # an empty "Q0" column
+         "line 1: expected 6 whitespace-separated fields, got 5"),
+        ("q1\t0\td1\t1\t0.9\ts1\nq1\t0\td2\t2\t0.8\ts1\n", [_E1, _E2]),
+        ("q1 0\td1 1\t0.9 s1\nq1\t0 d2\t2 0.8\ts1\n", [_E1, _E2]),  # mixed tabs and spaces
+        # Keys that change inside a window from one rank 1 to the next: groups interleaved.
+        ("q1 0 d1 1 0.9 s1\nq1 0 d1 1 0.9 s2\nq1 0 d2 2 0.8 s2\nq1 0 d2 2 0.8 s1\n",
+         [_E1, _E2, RunEntry("q1", "d1", 1, 0.9, "s2"), RunEntry("q1", "d2", 2, 0.8, "s2")]),
+        # Scores of other shapes than digits around one ".", and of that shape at its edges.
+        ("q1 0 d1 1 5. s1\nq1 0 d2 2 .5 s1\nq1 0 d3 3 -0.5 s1\nq1 0 d4 4 1e5 s1\n"
+         "q1 0 d5 5 007.5 s1\n", [RunEntry("q1", f"d{r}", r, score, "s1") for r, score in
+                                  zip(range(1, 6), (5.0, 0.5, -0.5, 1e5, 7.5))]),
+        ("q1 0 d1 1 0.9 s1\nq1 0 d2 2 . s1\n", "line 2: score is not a number: '.'"),
+        ("q1 0 d1 1 0.9 s1\nq1 0 d2 2 " + "9" * 309 + ".0 s1\n",
+         "line 2: score is not finite: '" + "9" * 40 + "'… (311 characters)"),
+        ("q1 0 d1 1 0.9 s1\nq1 0 d2 2 " + "0" * 300 + ".5 s1\n",
+         [_E1, RunEntry("q1", "d2", 2, 0.5, "s1")]),
     ],
     ids=["whitespace", "nul_doc", "hash_doc", "blank", "no_final_newline", "long_line", "cr",
          "crlf", "five_then_seven", "five_then_seven_aligned", "next_line_char",
          "nul_then_seven", "hash_then_short", "long_short", "crlf_bad_rank", "non_ascii_doc",
-         "x1c_in_doc", "x1f_in_doc", "zero_and_plus_ranks", "underscore_rank"],
+         "x1c_in_doc", "x1f_in_doc", "zero_and_plus_ranks", "underscore_rank",
+         "trailing_space", "double_space", "empty_doc", "empty_q0", "tabs", "tabs_and_spaces",
+         "interleaved", "score_shapes", "bare_dot_score", "overflowing_score",
+         "long_zero_score"],
 )
 @pytest.mark.parametrize("chunk_chars", [1, 7, 40, 333, 1 << 16])
 def test_tokenizer_edges_at_every_chunk_size(tmp_path, monkeypatch, text, expected, chunk_chars):
@@ -1014,6 +1061,37 @@ def test_plain_qrels_skip_the_line_loop(tmp_path, monkeypatch):
     assert "".join(seen).strip() == ""
 
 
+@pytest.mark.parametrize("chunk_chars", [40, 333, 1 << 16])
+def test_run_chunks_take_the_five_token_split_or_the_nul_split(tmp_path, monkeypatch,
+                                                               chunk_chars):
+    """Chunks of lines split by single spaces take the split at single spaces; tab-separated
+    and double-spaced ones take the NUL split. None of them reaches the line loop, which
+    reads only the blank end of the input."""
+    lines = _corpus_lines()
+    reference = parse_run_file(io.StringIO("".join(lines)))
+    calls = {"five": [], "nul": [], "rows": []}
+    five, tokens, rows = corpus_io._five, corpus_io._tokens, corpus_io._rows
+    monkeypatch.setattr(corpus_io, "_five",
+                        lambda text, n: calls["five"].append(text) or five(text, n))
+    monkeypatch.setattr(corpus_io, "_tokens",
+                        lambda text, *args: calls["nul"].append(text) or tokens(text, *args))
+    monkeypatch.setattr(corpus_io, "_rows",
+                        lambda text, lineno: calls["rows"].append(text) or rows(text, lineno))
+    monkeypatch.setattr(corpus_io, "_CHUNK_CHARS", chunk_chars)
+    judgments = _graded(list(reference.entries()))
+    for name, sep in (("single", " "), ("tabs", "\t"), ("double", "  ")):
+        path = tmp_path / f"{name}.txt"
+        path.write_text("".join(line.replace(" ", sep) for line in lines))
+        for value in calls.values():
+            value.clear()
+        assert _load_both(path, judgments) == reference, name
+        chunks = [text for text in calls["five"] if text.strip()]
+        assert chunks, name
+        split = [text for text in calls["nul"] if text.strip()]
+        assert split == ([] if sep == " " else chunks), name
+        assert "".join(calls["rows"]).strip() == "", name
+
+
 _GROUP = "for system 's1', query 'q1'"
 
 
@@ -1043,11 +1121,25 @@ _GROUP = "for system 's1', query 'q1'"
          f"duplicate document 'd9' {_GROUP} (line 4)"),
         ("q1 0 d\u00e9 1 0.9 s1\nq1 0 d1 2 0.8 s1\nq1 0 d3 3 0.7 s1\nq1 0 d1 4 0.6 s1\n", False,
          f"duplicate document 'd1' {_GROUP} (line 4)"),
+        # Faults in lines that the split at single spaces leaves to the NUL split.
+        ("q1\t0\td1\t1\t0.9\ts1\nq1\t0\td1\t2\t0.8\ts1\n", False,
+         f"duplicate document 'd1' {_GROUP} (line 2)"),
+        ("q1 0 d1 1 0.9 s1 \nq1 0 d2 2 0.8 s1 \nq1 0 d3 2 0.7 s1 \n", False,
+         f"duplicate rank 2 {_GROUP} (line 3)"),
+        ("q1 0 d1 1 0.9 s1\nq1 0 d1 1 0.9 s2\nq1 0 d1 2 0.8 s1\nq1 0 d2 2 0.8 s2\n", False,
+         f"duplicate document 'd1' {_GROUP} (line 3)"),
+        ("q1 0 d1 1 0.9 s1\nq1 0 d1 1 0.9 s2\nq1 0 d3 3 0.8 s1\nq1 0 d2 2 0.8 s2\n", False,
+         f"ranks {_GROUP} are not contiguous 1..2 (missing [2])"),
+        # A score that rises, in a column of digits around one "." (see `_scores`).
+        ("q1 0 d1 1 0.5 s1\nq1 0 d2 2 0.40 s1\nq1 0 d3 3 00.6 s1\n", True,
+         f"score increases from rank 2 to 3 {_GROUP} (strict mode)"),
     ],
     ids=["duplicate_document", "duplicate_rank", "rank_gap", "repeated_group",
          "reappearing_group", "rising_score", "duplicate_unkept_document",
          "duplicate_unjudged_document_apart", "duplicate_bytes_then_text",
-         "duplicate_text_then_bytes"],
+         "duplicate_text_then_bytes", "duplicate_document_tabs",
+         "duplicate_rank_trailing_space", "duplicate_document_interleaved",
+         "rank_gap_interleaved", "rising_score_shaped"],
 )
 @pytest.mark.parametrize("chunk_chars", [1, 7, 40, 333, 1 << 16])
 def test_group_faults_at_every_chunk_size(tmp_path, monkeypatch, text, strict, expected,
