@@ -201,7 +201,7 @@ def _cut(segments: _Segments, rows: list, source: int, first: int | None,
         else:
             counting = range(ranks[a], ranks[a] + b - a)
             cuts.append(counting if ranks[a:b] == list(counting) else tuple(ranks[a:b]))
-    spelled = type(scores[0]) is bytes
+    spelled = type(scores[0]) is bytes  # tokens proven finite, not yet converted
     for (a, b, query, system), seg_ranks in zip(windows, cuts):
         seg_docs, seg_scores = docs[a:b], scores[a:b]
         wanted = keep and (keep.raw if raw else keep.text).get(query, frozenset())
