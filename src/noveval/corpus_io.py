@@ -48,7 +48,7 @@ from bisect import bisect_right
 from enum import Enum
 from itertools import accumulate, chain, compress, count, groupby, repeat
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, ParseError, ValidationError
 
@@ -113,6 +113,11 @@ class RunSet:
 
     def __init__(self, entries: Iterable[RunEntry], strict_scores: bool = False):
         rows = [(e.query, e.doc, e.rank, e.score, e.system) for e in entries]
+        for query, _, rank, score, system in rows:  # as the reader checks each line
+            if not isinstance(rank, int):
+                raise _fault((system, query), [0], None, f"rank {rank!r} is not an integer")
+            if not (isinstance(score, (int, float)) and math.isfinite(score)):
+                raise _fault((system, query), [0], None, f"score {score!r} is not a finite number")
         segments: _Segments = {}
         if rows:
             _cut(segments, _windowed(*map(list, zip(*rows))), 0, None)
@@ -334,13 +339,13 @@ def _group(key: tuple[str, str], segs: list[_Segment], strict_scores: bool,
     The group is checked for: a document twice in one input (named by the line of
     its second copy), a duplicate rank, a gap, a document twice across inputs or
     entries, and in strict mode a score that rises. A duplicate rank or document
-    names the line of the row that repeats it, and its input when the group lies in
-    more than one. Errors start with the `names` of its inputs. A group is stored
-    whole, or, from a judged read, whose segments hold the offsets of their kept rows,
-    only those rows; its segments then hold every row's score only under
-    `strict_scores`, else only the kept rows', and every row's id unless the read
-    cleared them (see `_clear`), which leaves one input, chained from rank 1, with no
-    id twice: its kept rows are joined as they are.
+    names the line of the row that repeats it, a gap that of the lowest rank past it,
+    and its input when the group lies in more than one. Errors start with the `names`
+    of its inputs. A group is stored whole, or, from a judged read, whose segments
+    hold the offsets of their kept rows, only those rows; its segments then hold
+    every row's score only under `strict_scores`, else only the kept rows', and every
+    row's id unless the read cleared them (see `_clear`), which leaves one input,
+    chained from rank 1, with no id twice: its kept rows are joined as they are.
     """
     lines_known = segs[0].line is not None
     packed = isinstance(segs[0].docs, str)  # every row's id, else a cleared read's kept ones
@@ -377,9 +382,12 @@ def _group(key: tuple[str, str], segs: list[_Segment], strict_scores: bool,
                 by_rank[rank] = doc, score
         n = len(by_rank)
         missing = sorted(set(range(1, n + 1)).difference(by_rank))
-        if missing:
+        if missing:  # named by the row of the lowest rank past the first gap
+            above = min(filter(missing[0].__lt__, by_rank))
+            seg = next(seg for seg in segs if above in seg.ranks)
             raise _fault(key, sources, names, "ranks",
-                         f" are not contiguous 1..{n} (missing {missing[:5]})")
+                         f" are not contiguous 1..{n} (missing {missing[:5]})",
+                         row=(seg, seg.ranks.index(above)))
         docs, scores = zip(*(by_rank[r] for r in range(1, n + 1)))
     if len(sources) > 1 or not lines_known:  # else checked within its one input
         dup = _first_repeat(docs)  # at rank dup + 1
@@ -406,10 +414,11 @@ def _group(key: tuple[str, str], segs: list[_Segment], strict_scores: bool,
 def _fault(key: tuple[str, str], sources: list[int], names: list[str] | None, text: str,
            tail: str = "", row: tuple[_Segment, int] | None = None) -> ValidationError:
     """A group's error, built only to be raised: its inputs' names, `text` for the group, then
-    `tail` or the line of a (segment, offset) `row`, named when the group spans inputs."""
+    `tail` and the line of a (segment, offset) `row`, its input named when the group spans
+    inputs."""
     if row is not None and row[0].line is not None:
         seg, i = row
-        tail = f" ({names[seg.source] + ' ' if len(sources) > 1 else ''}line {seg.line + i})"
+        tail += f" ({names[seg.source] + ' ' if len(sources) > 1 else ''}line {seg.line + i})"
     where = "" if names is None else ", ".join(names[s] for s in sources) + ": "
     return ValidationError(f"{where}{text} for system {_echo(key[0])}, query {_echo(key[1])}{tail}")
 
@@ -552,8 +561,8 @@ def _read_runs(reads: Iterable[bytes], segments: _Segments, source: int,
 
     Each chunk is cut on its own; only the partial last line carries over to the
     next, and `_checked` joins a group's segments. A chunk that does not split as
-    bytes with plain ranks is decoded and split line by line; one with a line that
-    does not convert is read again line by line, for the error of its first such line.
+    bytes with plain ranks is decoded and read line by line (see `_rows`), which
+    raises the error of its first line that has not 6 fields or does not convert.
     With `keep` and `clear`, each segment's ids are cleared as they are read (see
     `_clear`, which may raise `_Unclear`), and only the kept rows' ids are held.
     """
@@ -562,12 +571,7 @@ def _read_runs(reads: Iterable[bytes], segments: _Segments, source: int,
     for lineno, text, lines in _chunks(reads):
         rows = _split(text, lines, every_score)
         if rows is None or not _cut(segments, rows, source, lineno, keep, opened):
-            decoded = text.decode()
-            try:
-                pieces = _rows(decoded, lineno)
-            except ValueError:
-                _raise_first_fault(decoded.split("\n"), lineno)
-            for first, piece in pieces:
+            for first, piece in _rows(text.decode(), lineno):
                 _cut(segments, piece, source, first, keep, opened)
 
 
@@ -676,42 +680,18 @@ def _scores(tokens: list[bytes], convert: bool) -> list | None:
         scores = list(map(float, tokens))
     except ValueError:
         return None
-    return scores if _finite(scores) else None
+    # A finite sum proves every score finite, as any inf or nan term makes the sum inf or
+    # nan, so the scores are tested one by one only when it is not.
+    return scores if math.isfinite(sum(scores)) or all(map(math.isfinite, scores)) else None
 
 
 def _rows(text: str, lineno: int) -> list[tuple[int, list]]:
-    """(line number, columns) of each run of data lines, neither blank nor "#", in `text`,
-    split line by line; ValueError on one that has not 6 fields or does not convert."""
-    rows = list(map(str.split, text.split("\n")))
-    data = [bool(row) and not row[0].startswith("#") for row in rows]
-    ends = list(accumulate(len(list(run)) for _, run in groupby(data)))
-    pieces = []
-    for a, b in zip([0, *ends], ends):
-        if data[a]:
-            if set(map(len, rows[a:b])) != {6}:
-                raise ValueError("a line without 6 fields")
-            queries, _, docs, ranks, scores, systems = zip(*rows[a:b])
-            ranks, scores = list(map(int, ranks)), list(map(float, scores))
-            if min(ranks) < 1 or not _finite(scores):
-                raise ValueError("a rank below 1 or a score that is not finite")
-            pieces.append((lineno + a, _windowed(queries, docs, ranks, scores, systems)))
-    return pieces
-
-
-def _finite(scores: list[float]) -> bool:
-    """Whether every score is finite; a finite sum proves it, as any inf or nan term makes
-    the sum inf or nan, so the scores are tested one by one only when it is not."""
-    return math.isfinite(sum(scores)) or all(map(math.isfinite, scores))
-
-
-def _echo(token: str, show: Callable[[str], str] = repr) -> str:
-    """`show(token)` for an error message, a token of over 40 characters cut to 40."""
-    return show(token[:40]) + (f"… ({len(token)} characters)" if len(token) > 40 else "")
-
-
-def _raise_first_fault(lines: list[str], lineno: int) -> NoReturn:
-    """Raise the error of the first line that does not convert, as a line reader does."""
-    for lineno, (_, _, _, rank_s, score_s, _) in _iter_records(lines, 6, lineno):
+    """(line number, rows) of each run of data lines, neither blank nor "#", in `text`, split
+    line by line, each line's rank and score converted once; the first line that has not 6
+    fields or does not convert raises its ParseError."""
+    runs, end = [], None
+    for lineno, (query, _, doc, rank_s, score_s, system) in _iter_records(
+            text.split("\n"), 6, lineno):
         try:
             rank = int(rank_s)
         except ValueError:
@@ -724,7 +704,17 @@ def _raise_first_fault(lines: list[str], lineno: int) -> NoReturn:
             raise ParseError(f"score is not a number: {_echo(score_s)}", lineno) from None
         if not math.isfinite(score):
             raise ParseError(f"score is not finite: {_echo(score_s)}", lineno)
-    raise AssertionError("a chunk that does not convert has no faulty line")
+        if lineno != end:  # a skipped line ends a run
+            rows = []
+            runs.append((lineno, rows))
+        rows.append((query, doc, rank, score, system))
+        end = lineno + 1
+    return [(first, _windowed(*map(list, zip(*rows)))) for first, rows in runs]
+
+
+def _echo(token: str, show: Callable[[str], str] = repr) -> str:
+    """`show(token)` for an error message, a token of over 40 characters cut to 40."""
+    return show(token[:40]) + (f"… ({len(token)} characters)" if len(token) > 40 else "")
 
 
 def parse_judgments(stream: IO[str], grade_map: Mapping[int, Relevance] | None = None) -> JudgmentSet:

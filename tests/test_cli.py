@@ -299,14 +299,16 @@ def test_runs_directory_rank_error_names_files(tmp_path, capsys):
     argv = ["--runs", str(runs_dir), "--qrels", str(qrels), "--depth", "10"]
     assert main(argv) == 1
     assert _single_error_line(capsys.readouterr().err) == (
-        "error: a.txt: ranks for system 's1', query 'q1' are not contiguous 1..2 (missing [2])"
+        "error: a.txt: ranks for system 's1', query 'q1' are not contiguous 1..2 (missing [2]) "
+        "(line 2)"
     )
     # One group split across two files names both, in file order.
     (runs_dir / "c.txt").write_text("q1 0 d3 4 0.1 s2\n")
     (runs_dir / "a.txt").write_text("q1 0 d1 1 0.9 s1\n")
     assert main(argv) == 1
     assert _single_error_line(capsys.readouterr().err) == (
-        "error: b.txt, c.txt: ranks for system 's2', query 'q1' are not contiguous 1..3 (missing [3])"
+        "error: b.txt, c.txt: ranks for system 's2', query 'q1' are not contiguous 1..3 "
+        "(missing [3]) (c.txt line 1)"
     )
 
 
@@ -423,7 +425,7 @@ CUT = f"'{'x' * 40}'… (5000 characters)"
                      "query 'q1' (line 2)", id="duplicate_huge_rank"),
         pytest.param(f"{LONG} 0 d1 1 0.9 s1\n{LONG} 0 d2 3 0.8 s1\n", QRELS, [],
                      f"runs.txt: ranks for system 's1', query {CUT} are not contiguous 1..2 "
-                     "(missing [2])", id="gap"),
+                     "(missing [2]) (line 2)", id="gap"),
         pytest.param(f"q1 0 d1 1 0.1 {LONG}\nq1 0 d2 2 0.9 {LONG}\n", QRELS, ["--strict-scores"],
                      f"runs.txt: score increases from rank 1 to 2 for system {CUT}, query 'q1' "
                      "(strict mode)", id="strict_score"),

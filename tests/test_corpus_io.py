@@ -500,7 +500,8 @@ def test_a_line_error_comes_before_an_earlier_files_group_error(tmp_path):
          "a.txt, b.txt: duplicate document 'd1' for system 's1', query 'q1' (b.txt line 1)"),
         ({"a.txt": "q2 0 d1 1 0.9 s1\nq2 0 d3 3 0.7 s1\nq1 0 d1 1 0.9 s1\n",
           "b.txt": "q1 0 d1 2 0.8 s1\n"},
-         "a.txt: ranks for system 's1', query 'q2' are not contiguous 1..2 (missing [2])"),
+         "a.txt: ranks for system 's1', query 'q2' are not contiguous 1..2 (missing [2]) "
+         "(line 2)"),
         # An error in a.txt's part of a group that b.txt continues waits for the whole group.
         ({"a.txt": "q1 0 d1 1 0.9 s1\nq1 0 d1 2 0.8 s1\n", "b.txt": "q1 0 d3 3 0.7 s1\n"},
          "a.txt: duplicate document 'd1' for system 's1', query 'q1' (line 2)"),
@@ -577,7 +578,7 @@ def test_a_group_with_an_id_twice_in_a_later_file_is_read_again_once(tmp_path, m
     assert opened == ["a.txt", "b.txt", "a.txt", "b.txt"]
 
 
-_GAP = "ranks for system 's1', query 'q1' are not contiguous 1..1 (missing [1])"
+_GAP = "ranks for system 's1', query 'q1' are not contiguous 1..1 (missing [1]) (line 1)"
 
 
 @pytest.mark.parametrize(
@@ -745,12 +746,14 @@ def test_valid_edge_files_load_as_the_line_parser_reads_them(tmp_path, text):
         ("q1 0 d1 1 0.9\nq1 0 d2 2 0.8 s1 x\n", ParseError,
          "runs.txt: line 1: expected 6 whitespace-separated fields, got 5"),
         ("q1 0 d1 1 0.9 s1\nq1 0 d2 3 0.8 s1\n", ValidationError,
-         "runs.txt: ranks for system 's1', query 'q1' are not contiguous 1..2 (missing [2])"),
+         "runs.txt: ranks for system 's1', query 'q1' are not contiguous 1..2 (missing [2]) "
+         "(line 2)"),
         ("q1 0 d1 1 0.9 s1\nq1 0 d1 2 0.8 s1\n", ValidationError,
          "runs.txt: duplicate document 'd1' for system 's1', query 'q1' (line 2)"),
         ("q1 0 d1 1 nan s1\n", ParseError, "runs.txt: line 1: score is not finite: 'nan'"),
         ("q1 0 d1 1 0.9 s1\nq2 0 d2 2 0.8 s1\n", ValidationError,
-         "runs.txt: ranks for system 's1', query 'q2' are not contiguous 1..1 (missing [1])"),
+         "runs.txt: ranks for system 's1', query 'q2' are not contiguous 1..1 (missing [1]) "
+         "(line 2)"),
         ("q1 0 d1 one 0.9 s1\n", ParseError, "runs.txt: line 1: rank is not an integer: 'one'"),
         ("q1 0 d1 1 0.9 s1\nq1 0 d2 0 0.8 s1\n", ParseError,
          "runs.txt: line 2: rank must be >= 1, got 0"),
@@ -773,11 +776,25 @@ def test_valid_edge_files_load_as_the_line_parser_reads_them(tmp_path, text):
         ({"a.txt": "q1 0 d1 1 0.9 s1\n", "b.txt": "q1 0 d2 1 0.8 s1\n"},
          ValidationError,
          "a.txt, b.txt: duplicate rank 1 for system 's1', query 'q1' (b.txt line 1)"),
+        # Entries keep the reader's invariants: a whole rank and a finite score.
+        ([RunEntry("q1", "d1", 1, 0.9, "s1"), RunEntry("q1", "d2", 2, float("nan"), "s1")],
+         ValidationError, "score nan is not a finite number for system 's1', query 'q1'"),
+        ([RunEntry("q1", "d1", 1, float("-inf"), "s1")],
+         ValidationError, "score -inf is not a finite number for system 's1', query 'q1'"),
+        ([RunEntry("q1", "d1", 1, "0.9", "s1")],
+         ValidationError, "score '0.9' is not a finite number for system 's1', query 'q1'"),
+        ([RunEntry("q1", "d1", 1.0, 0.9, "s1")],
+         ValidationError, "rank 1.0 is not an integer for system 's1', query 'q1'"),
+        # A gap in entries names no line.
+        ([RunEntry("q1", "d1", 1, 0.9, "s1"), RunEntry("q1", "d2", 3, 0.8, "s1")],
+         ValidationError,
+         "ranks for system 's1', query 'q1' are not contiguous 1..2 (missing [2])"),
     ],
     ids=["five_then_seven_fields", "rank_gap", "duplicate_document", "nan_score",
          "group_without_rank_1", "rank_not_integer", "rank_zero", "duplicate_rank",
          "repeated_line", "skipped_lines_counted", "duplicate_doc_two_files",
-         "entries_without_file", "duplicate_rank_two_files"],
+         "entries_without_file", "duplicate_rank_two_files", "entries_nan_score",
+         "entries_inf_score", "entries_text_score", "entries_float_rank", "entries_gap"],
 )
 def test_invalid_files_fail_as_the_line_parser_says(tmp_path, text, error, message):
     """`text` is one run file's text, a runs directory as {name: text}, or RunSet entries."""
@@ -924,6 +941,14 @@ _LONG_DOC = "d" * 70_000  # longer than every chunk size below
          "line 2: score is not finite: '" + "9" * 40 + "'… (311 characters)"),
         ("q1 0 d1 1 0.9 s1\nq1 0 d2 2 " + "0" * 300 + ".5 s1\n",
          [_E1, RunEntry("q1", "d2", 2, 0.5, "s1")]),
+        # Faults that the line loop names as it converts each line, past skipped lines.
+        ("q1 0 d1 1 0.9 s1\n# c\nq1 0 d2 x 0.8 s1\n", "line 3: rank is not an integer: 'x'"),
+        ("q1 0 d\u00e9 1 0.9 s1\nq1 0 d2 0 0.8 s1\nq1 0 d3 x 0.7 s1\n",
+         "line 2: rank must be >= 1, got 0"),
+        ("q1 0 d1 1 0.9 s1\nq1 0 d\u00e9 0 0.8 s1\n", "line 2: rank must be >= 1, got 0"),
+        ("q1 0 d1 1 0.9 s1\nq1 0 d\u00e9 2 nan s1\n", "line 2: score is not finite: 'nan'"),
+        ("q1 0 d1 1 0.9 s1\n\nq1 0 d2 2 0.8 s1 x\n",
+         "line 3: expected 6 whitespace-separated fields, got 7"),
     ],
     ids=["whitespace", "nul_doc", "hash_doc", "blank", "no_final_newline", "long_line", "cr",
          "crlf", "five_then_seven", "five_then_seven_aligned", "next_line_char",
@@ -931,7 +956,8 @@ _LONG_DOC = "d" * 70_000  # longer than every chunk size below
          "x1c_in_doc", "x1f_in_doc", "zero_and_plus_ranks", "underscore_rank",
          "trailing_space", "double_space", "empty_doc", "empty_q0", "tabs", "tabs_and_spaces",
          "interleaved", "score_shapes", "bare_dot_score", "overflowing_score",
-         "long_zero_score"],
+         "long_zero_score", "hash_then_bad_rank", "two_bad_lines", "non_ascii_rank_zero",
+         "non_ascii_nan_score", "blank_then_seven"],
 )
 @pytest.mark.parametrize("chunk_chars", [1, 7, 40, 333, 1 << 16])
 def test_tokenizer_edges_at_every_chunk_size(tmp_path, monkeypatch, text, expected, chunk_chars):
@@ -1103,7 +1129,7 @@ _GROUP = "for system 's1', query 'q1'"
         ("q1 0 d1 1 0.9 s1\nq1 0 d2 2 0.8 s1\n\nq1 0 d3 2 0.7 s1\n", False,
          f"duplicate rank 2 {_GROUP} (line 4)"),
         ("q1 0 d1 1 0.9 s1\nq1 0 d2 2 0.8 s1\nq1 0 d3 4 0.7 s1\n", False,
-         f"ranks {_GROUP} are not contiguous 1..3 (missing [3])"),
+         f"ranks {_GROUP} are not contiguous 1..3 (missing [3]) (line 3)"),
         ("q1 0 d1 1 0.9 s1\nq1 0 d2 2 0.8 s1\nq2 0 d1 1 0.9 s1\nq1 0 d1 1 0.9 s1\n"
          "q1 0 d2 2 0.8 s1\n", False, f"duplicate document 'd1' {_GROUP} (line 4)"),
         ("q1 0 d1 1 0.9 s1\nq1 0 d2 2 0.8 s1\nq2 0 d1 1 0.9 s1\nq1 0 d3 1 0.9 s1\n"
@@ -1129,17 +1155,20 @@ _GROUP = "for system 's1', query 'q1'"
         ("q1 0 d1 1 0.9 s1\nq1 0 d1 1 0.9 s2\nq1 0 d1 2 0.8 s1\nq1 0 d2 2 0.8 s2\n", False,
          f"duplicate document 'd1' {_GROUP} (line 3)"),
         ("q1 0 d1 1 0.9 s1\nq1 0 d1 1 0.9 s2\nq1 0 d3 3 0.8 s1\nq1 0 d2 2 0.8 s2\n", False,
-         f"ranks {_GROUP} are not contiguous 1..2 (missing [2])"),
+         f"ranks {_GROUP} are not contiguous 1..2 (missing [2]) (line 3)"),
         # A score that rises, in a column of digits around one "." (see `_scores`).
         ("q1 0 d1 1 0.5 s1\nq1 0 d2 2 0.40 s1\nq1 0 d3 3 00.6 s1\n", True,
          f"score increases from rank 2 to 3 {_GROUP} (strict mode)"),
+        # A gap names the row of the lowest rank past it, not the next line.
+        ("q1 0 d1 1 0.9 s1\nq1 0 d5 5 0.5 s1\nq1 0 d3 3 0.7 s1\n", False,
+         f"ranks {_GROUP} are not contiguous 1..3 (missing [2]) (line 3)"),
     ],
     ids=["duplicate_document", "duplicate_rank", "rank_gap", "repeated_group",
          "reappearing_group", "rising_score", "duplicate_unkept_document",
          "duplicate_unjudged_document_apart", "duplicate_bytes_then_text",
          "duplicate_text_then_bytes", "duplicate_document_tabs",
          "duplicate_rank_trailing_space", "duplicate_document_interleaved",
-         "rank_gap_interleaved", "rising_score_shaped"],
+         "rank_gap_interleaved", "rising_score_shaped", "rank_gap_out_of_order"],
 )
 @pytest.mark.parametrize("chunk_chars", [1, 7, 40, 333, 1 << 16])
 def test_group_faults_at_every_chunk_size(tmp_path, monkeypatch, text, strict, expected,
