@@ -115,9 +115,11 @@ class RunSet:
         rows = [(e.query, e.doc, e.rank, e.score, e.system) for e in entries]
         for query, _, rank, score, system in rows:  # as the reader checks each line
             if not isinstance(rank, int):
-                raise _fault((system, query), [0], None, f"rank {rank!r} is not an integer")
+                raise _fault((system, query), [0], None,
+                             f"rank {_echo(repr(rank), str)} is not an integer")
             if not (isinstance(score, (int, float)) and math.isfinite(score)):
-                raise _fault((system, query), [0], None, f"score {score!r} is not a finite number")
+                raise _fault((system, query), [0], None,
+                             f"score {_echo(repr(score), str)} is not a finite number")
         segments: _Segments = {}
         if rows:
             _cut(segments, _windowed(*map(list, zip(*rows))), 0, None)
@@ -382,12 +384,14 @@ def _group(key: tuple[str, str], segs: list[_Segment], strict_scores: bool,
                 by_rank[rank] = doc, score
         n = len(by_rank)
         missing = sorted(set(range(1, n + 1)).difference(by_rank))
-        if missing:  # named by the row of the lowest rank past the first gap
-            above = min(filter(missing[0].__lt__, by_rank))
-            seg = next(seg for seg in segs if above in seg.ranks)
+        if missing:  # a read names the row of the lowest rank past the first gap
+            row = None
+            if lines_known:  # ranks >= 1, so one is past the gap (entries may hold 0)
+                above = min(filter(missing[0].__lt__, by_rank))
+                seg = next(seg for seg in segs if above in seg.ranks)
+                row = seg, seg.ranks.index(above)
             raise _fault(key, sources, names, "ranks",
-                         f" are not contiguous 1..{n} (missing {missing[:5]})",
-                         row=(seg, seg.ranks.index(above)))
+                         f" are not contiguous 1..{n} (missing {missing[:5]})", row=row)
         docs, scores = zip(*(by_rank[r] for r in range(1, n + 1)))
     if len(sources) > 1 or not lines_known:  # else checked within its one input
         dup = _first_repeat(docs)  # at rank dup + 1
@@ -507,10 +511,9 @@ def _iter_records(
 ) -> Iterator[tuple[int, list[str]]]:
     """Yield (line_number, fields) for every data line; skip blanks and # comments."""
     for lineno, raw in enumerate(stream, start):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
             continue
-        fields = line.split()
         if len(fields) != n_cols:
             raise ParseError(
                 f"expected {n_cols} whitespace-separated fields, got {len(fields)}", lineno

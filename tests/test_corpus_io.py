@@ -789,12 +789,26 @@ def test_valid_edge_files_load_as_the_line_parser_reads_them(tmp_path, text):
         ([RunEntry("q1", "d1", 1, 0.9, "s1"), RunEntry("q1", "d2", 3, 0.8, "s1")],
          ValidationError,
          "ranks for system 's1', query 'q1' are not contiguous 1..2 (missing [2])"),
+        # Ranks below 1 in entries are gaps too, with no rank past the first missing one.
+        ([RunEntry("q1", "d1", 0, 0.9, "s1")], ValidationError,
+         "ranks for system 's1', query 'q1' are not contiguous 1..1 (missing [1])"),
+        ([RunEntry("q1", "d1", 0, 0.9, "s1"), RunEntry("q1", "d2", 1, 0.8, "s1")],
+         ValidationError,
+         "ranks for system 's1', query 'q1' are not contiguous 1..2 (missing [2])"),
+        ([RunEntry("q1", "d1", -1, 0.9, "s1")], ValidationError,
+         "ranks for system 's1', query 'q1' are not contiguous 1..1 (missing [1])"),
+        # An entry's token is echoed cut to 40 characters, as a line's is.
+        ([RunEntry("q1", "d1", 1, "9" * 60, "s1")], ValidationError,
+         "score '" + "9" * 39 + "… (62 characters) is not a finite number "
+         "for system 's1', query 'q1'"),
     ],
     ids=["five_then_seven_fields", "rank_gap", "duplicate_document", "nan_score",
          "group_without_rank_1", "rank_not_integer", "rank_zero", "duplicate_rank",
          "repeated_line", "skipped_lines_counted", "duplicate_doc_two_files",
          "entries_without_file", "duplicate_rank_two_files", "entries_nan_score",
-         "entries_inf_score", "entries_text_score", "entries_float_rank", "entries_gap"],
+         "entries_inf_score", "entries_text_score", "entries_float_rank", "entries_gap",
+         "entries_rank_zero", "entries_ranks_zero_and_one", "entries_rank_negative",
+         "entries_long_score"],
 )
 def test_invalid_files_fail_as_the_line_parser_says(tmp_path, text, error, message):
     """`text` is one run file's text, a runs directory as {name: text}, or RunSet entries."""
