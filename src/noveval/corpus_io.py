@@ -23,24 +23,26 @@ share a token, which proves the field count and, a window at a time, the key (se
 `_five`); other lines split with a NUL token a line (see `_tokens`). A score column of
 digits around one "." is finite by its shape, and only the scores that a segment keeps
 are converted (see `_scores`). In `load_runs(..., judged=J)` the reader clears each
-segment's ids as it reads them and holds only the ids of the rows of documents that J
-grades relevant or partially relevant (see `_clear`). One group check, which
+segment's ids as it reads them and holds only the rows of documents that J grades
+relevant or partially relevant (see `_clear`): their ids as J's own strings, their ranks
+and scores in typed arrays. One group check, which
 `RunSet(entries)` shares, is the only place that joins a group's segments and decides
 what is valid and what every error says.
 `load_runs` reads each file on its own and checks its groups when it ends, so it holds
 one file's segments and one chunk's tokens at a time; it then merges the files in
 order, checking a group that crosses files or is foreign to one (see `_clear`) after a
-second read of only the files that hold it. The judgment reader splits the same chunks
-the same way. `JudgmentSet` indexes its grades and relevant documents by query.
+second read of only the files that hold it, as soon as the last of them is read again.
+The judgment reader splits the same chunks the same way. `JudgmentSet` indexes its grades
+and relevant documents by query. A file is hashed as it is read; `hashlib`, which loads
+OpenSSL, is imported at the first file read.
 
-All parsed structures are immutable after construction and safe to share
-across threads.
+No method changes a parsed structure after construction or hands out the arrays behind
+a judged group's columns, so every structure is safe to share across threads.
 """
 
 from __future__ import annotations
 
 import codecs
-import hashlib
 import math
 import operator
 from array import array
@@ -93,9 +95,10 @@ _Segments = dict[tuple[str, str], list[_Segment]]
 
 
 class _Keep(NamedTuple):
-    """By query, the documents whose rows a judged read keeps, as text and as bytes."""
-    text: dict[str, frozenset[str]]
-    raw: dict[bytes, frozenset[bytes]]
+    """By query, the documents whose rows a judged read keeps, as text and as bytes, each
+    mapped to the `JudgmentSet`'s own id string, which the kept rows hold."""
+    text: dict[str, dict[str, str]]
+    raw: dict[bytes, dict[bytes, str]]
     every_score: bool  # segments hold every row's score (for the strict check), else the kept rows'
 
 
@@ -103,12 +106,15 @@ class RunSet:
     """All ranked retrieval results, grouped by (system, query).
 
     Within each (system, query) group, ranks are exactly 1..n with no gaps
-    or duplicates and document ids are unique. Construction validates this;
-    instances are immutable afterward. Each group is stored as three columns
-    in rank order: document ids, ranks and scores. A whole group has ranks
-    `range(1, n + 1)`; a `RunSet` from `load_runs(..., judged=J)` holds only
+    or duplicates and document ids are unique. Construction validates this.
+    Each group is stored as three columns in rank order: document ids (a
+    tuple), ranks and scores. A whole group has ranks `range(1, n + 1)` and a
+    tuple of scores; a `RunSet` from `load_runs(..., judged=J)` holds only
     each group's rows of documents that J grades relevant or partially
-    relevant, with their own ranks, and keeps the key of a group with none.
+    relevant, with their own ranks, and keeps the key of a group with none:
+    their ids are J's own strings, and their ranks and scores are arrays of
+    unsigned ints and doubles. No method changes a column or hands one out,
+    so an instance does not change after construction.
     """
 
     def __init__(self, entries: Iterable[RunEntry], strict_scores: bool = False):
@@ -155,9 +161,12 @@ class RunSet:
         return dict(ranked if among is None else compress(ranked, map(among.__contains__, docs)))
 
     def __eq__(self, other: object) -> bool:
+        """The same groups with the same column contents, whatever sequence types hold them."""
         if not isinstance(other, RunSet):
             return NotImplemented
-        return self._groups == other._groups
+        mine, theirs = self._groups, other._groups
+        return mine.keys() == theirs.keys() and all(
+            list(a) == list(b) for key in mine for a, b in zip(mine[key], theirs[key]))
 
     def __len__(self) -> int:
         """The number of rows held."""
@@ -195,7 +204,7 @@ def _cut(segments: _Segments, rows: list, source: int, first: int | None,
     proven finite (see `_scores`), converted here only for the rows a segment holds. With
     `keep`, a segment also holds the offsets of its rows of the kept documents, and unless
     `keep.every_score` only those rows' scores; with `opened` too, its ids are cleared by
-    `_clear`, and only the kept rows' ids are decoded and held."""
+    `_clear`, and only the kept rows' ids are held, as the judgments' own strings."""
     windows, docs, ranks, scores = rows
     raw = isinstance(ranks[0], bytes)
     cuts = []
@@ -211,7 +220,7 @@ def _cut(segments: _Segments, rows: list, source: int, first: int | None,
     spelled = type(scores[0]) is bytes  # tokens proven finite, not yet converted
     for (a, b, query, system), seg_ranks in zip(windows, cuts):
         seg_docs, seg_scores = docs[a:b], scores[a:b]
-        wanted = keep and (keep.raw if raw else keep.text).get(query, frozenset())
+        wanted = keep and (keep.raw if raw else keep.text).get(query, {})
         if raw:
             query, system = query.decode(), system.decode()
         found = None
@@ -233,8 +242,7 @@ def _cut(segments: _Segments, rows: list, source: int, first: int | None,
         if spelled:
             seg_scores = map(float, seg_scores)
         if opened is not None:
-            kept_docs = map(seg_docs.__getitem__, kept)
-            packed = tuple(map(bytes.decode, kept_docs) if raw else kept_docs)
+            packed = tuple(map(wanted.__getitem__, map(seg_docs.__getitem__, kept)))
         elif raw:
             packed = b" ".join(seg_docs).decode()
         else:
@@ -250,7 +258,7 @@ class _Unclear(Exception):
 
 
 def _clear(opened: list, segments: _Segments, key: tuple[str, str], ranks: range | tuple,
-           docs: Sequence, wanted: frozenset) -> set | None:
+           docs: Sequence, wanted: dict) -> set | None:
     """The segment's ids (tokens as split, bytes or text) that `wanted` holds, once they
     clear, else None. They clear if the segment starts a group at rank 1 whose key
     `segments` does not hold yet, or continues the group `opened` by the segment before it
@@ -277,11 +285,11 @@ def _clear(opened: list, segments: _Segments, key: tuple[str, str], ranks: range
     else:
         raise _Unclear
     if ids is not None:
-        held, seen = len(ids), wanted.intersection(ids)  # each a scan of the smaller set
+        held, seen = len(ids), wanted.keys() & ids  # each a scan of the smaller set
         ids.update(docs)
         if len(ids) == held + len(docs):
             opened[:] = key, ranks.stop, ids
-            return wanted.intersection(ids).difference(seen)
+            return (wanted.keys() & ids).difference(seen)
     segments[key] = []  # foreign
     opened.clear()
     return None
@@ -310,7 +318,7 @@ def _plain_first(tokens: list[bytes]) -> int | None:
 
 
 def _checked(segments: _Segments, strict_scores: bool, names: list[str] | None = None,
-             hold: bool = False) -> dict:
+             hold: bool = False, keep: _Keep | None = None) -> dict:
     """Join each group's segments into (docs, ranks, scores) columns in rank order.
 
     This is the one place where a group's segments are joined; it pops them
@@ -319,13 +327,13 @@ def _checked(segments: _Segments, strict_scores: bool, names: list[str] | None =
     first error is raised, or, with `hold`, stored in place of the group's
     columns (without its traceback, which would keep them alive) and the check
     goes on. A group held with no segment is foreign to its input (see `_clear`)
-    and gives None.
+    and gives None. A judged read passes its `keep`, whose id strings the kept rows share.
     """
     groups = {}
     for key in list(segments):
         segs = segments.pop(key)
         try:
-            groups[key] = _group(key, segs, strict_scores, names) if segs else None
+            groups[key] = _group(key, segs, strict_scores, names, keep) if segs else None
         except ValidationError as exc:
             if not hold:
                 raise
@@ -334,7 +342,8 @@ def _checked(segments: _Segments, strict_scores: bool, names: list[str] | None =
 
 
 def _group(key: tuple[str, str], segs: list[_Segment], strict_scores: bool,
-           names: list[str] | None) -> tuple[Sequence[str], Sequence[int], Sequence[float]]:
+           names: list[str] | None,
+           keep: _Keep | None) -> tuple[Sequence[str], Sequence[int], Sequence[float]]:
     """One group's (docs, ranks, scores) columns in rank order, checked.
 
     Segments whose ranks chain 1..n are joined as they are, others merged by rank.
@@ -343,8 +352,9 @@ def _group(key: tuple[str, str], segs: list[_Segment], strict_scores: bool,
     entries, and in strict mode a score that rises. A duplicate rank or document
     names the line of the row that repeats it, a gap that of the lowest rank past it,
     and its input when the group lies in more than one. Errors start with the `names`
-    of its inputs. A group is stored whole, or, from a judged read, whose segments
-    hold the offsets of their kept rows, only those rows; its segments then hold
+    of its inputs. A group is stored whole, or, from a judged read (with its `keep`),
+    whose segments hold the offsets of their kept rows, only those rows: their ids as
+    `keep`'s strings, their ranks and scores in typed arrays. Its segments then hold
     every row's score only under `strict_scores`, else only the kept rows', and every
     row's id unless the read cleared them (see `_clear`), which leaves one input,
     chained from rank 1, with no id twice: its kept rows are joined as they are.
@@ -352,9 +362,9 @@ def _group(key: tuple[str, str], segs: list[_Segment], strict_scores: bool,
     lines_known = segs[0].line is not None
     packed = isinstance(segs[0].docs, str)  # every row's id, else a cleared read's kept ones
     if lines_known and not packed and not strict_scores:  # cleared: its kept rows as they are
-        return (_joined([seg.docs for seg in segs]),
-                tuple(chain.from_iterable(map(seg.ranks.__getitem__, seg.kept) for seg in segs)),
-                tuple(chain.from_iterable(seg.scores for seg in segs)))
+        ranks = chain.from_iterable(map(seg.ranks.__getitem__, seg.kept) for seg in segs)
+        return (_joined([seg.docs for seg in segs]), array("I", ranks),
+                array("d", chain.from_iterable(seg.scores for seg in segs)))
     sources = list(dict.fromkeys(seg.source for seg in segs))
     parts = [seg.docs.split(" ") for seg in segs] if packed else [seg.docs for seg in segs]
     docs = _joined(parts)  # in input order
@@ -366,8 +376,7 @@ def _group(key: tuple[str, str], segs: list[_Segment], strict_scores: bool,
             line = _joined([range(segs[i].line, segs[i].line + len(parts[i])) for i in own])[dup]
             raise _fault(key, [source], names, f"duplicate document {_echo(own_docs[dup])}",
                          f" (line {line})")
-    judged = segs[0].kept is not None
-    every_score = strict_scores or not judged
+    every_score = strict_scores or keep is None
     seg_ranks = [seg.ranks for seg in segs]
     firsts = accumulate(map(len, seg_ranks), initial=1)
     chained = all(ranks == range(r, r + len(ranks)) for ranks, r in zip(seg_ranks, firsts))
@@ -404,15 +413,17 @@ def _group(key: tuple[str, str], segs: list[_Segment], strict_scores: bool,
         if rank is not None:
             raise _fault(key, sources, names, f"score increases from rank {rank} to {rank + 1}",
                          " (strict mode)")
-    if not judged:
+    if keep is None:
         return tuple(docs), range(1, len(docs) + 1), tuple(scores)
-    kept = [tuple(chain.from_iterable(column)) for column in (  # the kept rows' columns
+    kept = [chain.from_iterable(column) for column in (  # the kept rows' columns
         [map(part.__getitem__, seg.kept) if packed else part for seg, part in zip(segs, parts)],
         [map(seg.ranks.__getitem__, seg.kept) for seg in segs],
         [map(seg.scores.__getitem__, seg.kept) if every_score else seg.scores for seg in segs])]
     if not chained:  # merged by rank: sort the kept rows by rank
         kept = [*zip(*sorted(zip(*kept), key=operator.itemgetter(1)))] or _NO_GROUP
-    return tuple(kept)
+    docs, ranks, scores = kept
+    return (tuple(map(keep.text.get(key[1], {}).__getitem__, docs)),
+            array("I", ranks), array("d", scores))
 
 
 def _fault(key: tuple[str, str], sources: list[int], names: list[str] | None, text: str,
@@ -488,8 +499,8 @@ class JudgmentSet:
 
     def _kept(self, every_score: bool) -> _Keep:
         """By query, the documents graded relevant or partially relevant."""
-        text = {q: frozenset(kept) for q, (_, kept) in self._relevant.items()}
-        return _Keep(text, {q.encode(): frozenset(d.encode() for d in docs)
+        text = {q: {d: d for d in kept} for q, (_, kept) in self._relevant.items()}
+        return _Keep(text, {q.encode(): {d.encode(): d for d in docs}
                             for q, docs in text.items()}, every_score)
 
     def items(self) -> Iterator[tuple[str, str, Relevance]]:
@@ -809,7 +820,8 @@ def load_runs(path: str | Path, strict_scores: bool = False, *,
     Each file is read on its own, in name order (see `_read_run_file`), and the
     results are merged in that order. A group that continues from one file into
     another, or is foreign to one, is checked whole from a second read of only
-    the files that hold such groups. A line error names its file and line and
+    the files that hold such groups, each group as soon as the last file that
+    holds it is read again. A line error names its file and line and
     is raised at once; group errors wait until every file is read, and the first
     in first-appearance order is raised, naming the files that hold the group.
     With `judged`, every group is checked whole but keeps only its rows of
@@ -832,13 +844,14 @@ def load_runs(path: str | Path, strict_scores: bool = False, *,
             holders.setdefault(key, []).append(source)
             groups[key] = group
     across = {key for key, sources in holders.items() if len(sources) > 1 or groups[key] is None}
-    segments: _Segments = {}
+    segments: _Segments = {}  # the crossing groups that a later file still holds
     for source in sorted({s for key in across for s in holders[key]}):
         own: _Segments = {}
         _read_file(files[source], lambda reads: _read_runs(reads, own, source, keep), None)
         for key in filter(across.__contains__, own):
             segments.setdefault(key, []).extend(own[key])
-    groups.update(_checked(segments, strict_scores, names, hold=True))
+        ended = {key: segments.pop(key) for key in list(segments) if holders[key][-1] == source}
+        groups.update(_checked(ended, strict_scores, names, hold=True, keep=keep))
     for group in groups.values():
         if isinstance(group, ValidationError):
             raise group
@@ -858,7 +871,7 @@ def _read_run_file(path: Path, source: int, keep: _Keep | None, strict_scores: b
     except _Unclear:
         segments.clear()
         _read_file(path, lambda reads: _read_runs(reads, segments, source, keep), digests)
-    return _checked(segments, strict_scores, names, hold=True)
+    return _checked(segments, strict_scores, names, hold=True, keep=keep)
 
 
 def _file_reads(fh: IO[bytes], digest) -> Iterator[bytes]:
@@ -890,6 +903,8 @@ def load_judgments(path: str | Path, grade_map: Mapping[int, Relevance] | None =
 def _read_file(path: Path, read: Callable[[Iterator[bytes]], Any], digests: dict | None) -> Any:
     """`read` of the file's reads, hashed as read; an error names the file, and `digests`,
     when given, receives the SHA-256 of the file's bytes by file name."""
+    import hashlib  # loads OpenSSL, so a command that reads no file (synth) skips its import
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         try:

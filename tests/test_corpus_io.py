@@ -3,6 +3,7 @@ import io
 import json
 import random
 import tracemalloc
+from array import array
 from itertools import combinations, compress, cycle, groupby
 from pathlib import Path
 
@@ -655,10 +656,103 @@ def test_cleared_groups_keep_the_judged_rows_in_rank_order(tmp_path, monkeypatch
                                     | {(e.query, e.doc): g for e, g in zip(kept, grades)})
             opened.clear()
             judged = load_runs(path, strict, judged=judgments)
-            assert judged._groups == _judged_rows(whole, judgments)._groups
-            assert judged._groups[("s1", "q2")] == ((), (), ())
+            assert judged == _judged_rows(whole, judgments)
+            assert [list(column) for column in judged._groups[("s1", "q2")]] == [[], [], []]
             assert opened == ["runs.txt"]
 
+
+
+@pytest.mark.parametrize("layout", ["plain", "key_back", "split_37", "line_path", "strict"])
+def test_every_judged_path_holds_the_judgments_ids_in_typed_columns(tmp_path, monkeypatch,
+                                                                     layout):
+    """Each judged path keeps each row's id as the JudgmentSet's own string, not a copy, and
+    its ranks and scores in arrays of unsigned ints and doubles: the byte read that clears
+    its ids, a group whose key comes back (the file read again whole), groups cut across
+    files of 37 lines (merged after a second read), a "#" line and a non-ASCII id (read line
+    by line) and strict scores."""
+    lines = _corpus_lines()
+    qrels = "".join(f"{q} 0 d{d} {(2, 0, 1)[d % 3]}\n" for q in ("q0", "q1", "q2")
+                    for d in range(200))
+    if layout == "key_back":  # the first group's last row moved to the end of the file
+        first = [line for line in lines if line.split()[::5] == ["q0", "s0"]]
+        assert len(first) > 1
+        lines.remove(first[-1])
+        lines.append(first[-1])
+    elif layout == "line_path":
+        lines = [("# c\n" if i % 50 == 0 else "") + line.replace(" d", " dé")
+                 for i, line in enumerate(lines)]
+        qrels = qrels.replace(" d", " dé")
+    if layout == "split_37":
+        path = _write_dir(tmp_path / "runs", {f"part{i:03d}": "".join(lines[i:i + 37])
+                                              for i in range(0, len(lines), 37)})
+    else:
+        path = tmp_path / "runs.txt"
+        path.write_text("".join(lines))
+    (tmp_path / "qrels.txt").write_text(qrels)
+    judgments = load_judgments(tmp_path / "qrels.txt")
+    own = {q: {d: d for d in grades} for q, grades in judgments._by_query.items()}
+    opened, line_rows, rows = [], [], corpus_io._rows
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(Path(file).name)
+        return open(file, *args, **kwargs)
+
+    def recording_rows(text, lineno):
+        pieces = rows(text, lineno)
+        line_rows.extend(pieces)
+        return pieces
+
+    monkeypatch.setattr(corpus_io, "open", recording_open, raising=False)
+    monkeypatch.setattr(corpus_io, "_rows", recording_rows)
+    strict = layout == "strict"
+    judged = load_runs(path, strict, judged=judgments)
+    if layout != "split_37":  # a key that comes back has its file read again whole
+        assert opened == ["runs.txt"] * (1 + (layout == "key_back"))
+    assert bool(line_rows) == (layout == "line_path")
+    assert judged == _judged_rows(load_runs(path, strict), judgments)
+    assert len(judged) > 50
+    for (_, query), (docs, ranks, scores) in judged._groups.items():
+        assert all(doc is own[query][doc] for doc in docs)
+        assert (type(ranks), ranks.typecode, type(scores), scores.typecode) == (
+            array, "I", array, "d")
+
+
+def test_the_merge_checks_each_group_once_its_last_file_is_read_again(tmp_path, monkeypatch):
+    """The cross-file merge checks each group that crosses files right after it reads again
+    the last file that holds it, before it reads any later file, so it holds the segments
+    of only the groups still open: (s1, q1) lies in a and b, (s1, q2) in b and c, (s2, q1)
+    in c and d."""
+    path = _write_dir(tmp_path / "runs", {
+        "a.txt": "q1 0 d1 1 0.9 s1\nq1 0 d2 2 0.8 s1\n",
+        "b.txt": "q1 0 d3 3 0.7 s1\nq2 0 d1 1 0.9 s1\nq2 0 d2 2 0.8 s1\n",
+        "c.txt": "q2 0 d3 3 0.7 s1\nq1 0 d1 1 0.9 s2\nq1 0 d2 2 0.8 s2\n",
+        "d.txt": "q1 0 d3 3 0.7 s2\nq2 0 d1 1 0.9 s2\n"})
+    last = {("s1", "q1"): "b.txt", ("s1", "q2"): "c.txt", ("s2", "q1"): "d.txt"}
+    events = []
+    read_file, checked = corpus_io._read_file, corpus_io._checked
+
+    def recording_read_file(file, *args):
+        events.append(("read", file.name))
+        return read_file(file, *args)
+
+    def recording_checked(segments, *args, **kwargs):
+        events.append(("check", list(segments)))
+        return checked(segments, *args, **kwargs)
+
+    monkeypatch.setattr(corpus_io, "_read_file", recording_read_file)
+    monkeypatch.setattr(corpus_io, "_checked", recording_checked)
+    judgments = _graded([RunEntry("q1", d, 1, 0.0, "s1") for d in ("d1", "d2", "d3")])
+    for judged in (None, judgments):
+        events.clear()
+        runs = load_runs(path, judged=judged)
+        assert runs.systems() == ["s1", "s2"] and len(runs) == (10 if judged is None else 4)
+        reads = [i for i, (kind, _) in enumerate(events) if kind == "read"]
+        merge = events[reads[4]:]  # from the first file read again
+        assert [name for kind, name in merge if kind == "read"] == ["a.txt", "b.txt", "c.txt",
+                                                                    "d.txt"]
+        for key, name in last.items():
+            at = next(i for i, (kind, keys) in enumerate(merge) if kind == "check" and key in keys)
+            assert [file for kind, file in merge[:at] if kind == "read"][-1] == name, key
 
 def test_judged_read_memory_is_bounded_by_one_file(tmp_path):
     """The peak of a judged load over 64 one-system files stays near that over 4: each file's

@@ -115,3 +115,24 @@ def test_importing_the_cli_loads_no_heavy_modules():
     added = loaded("import noveval.cli") - loaded("pass")
     assert "noveval.cli" in added
     assert added & heavy == set()
+
+
+def test_openssl_loads_only_when_a_file_is_hashed(tmp_path):
+    """`import noveval.cli` and `noveval synth` load no OpenSSL (`_hashlib`); an evaluation
+    loads it when it hashes its first input file. Run without `site`, which may import it."""
+    src = str(Path(noveval.__file__).resolve().parents[1])
+    runs, qrels = tmp_path / "runs.txt", tmp_path / "qrels.txt"
+    script = "\n".join([
+        "import sys",
+        "from noveval.cli import main",
+        "print('_hashlib' in sys.modules, file=sys.stderr)",
+        f"main(['synth', '--out-dir', {str(tmp_path)!r}, '--systems', '3', '--queries', '2',"
+        " '--depth', '20'])",
+        "print('_hashlib' in sys.modules, file=sys.stderr)",
+        f"main(['--runs', {str(runs)!r}, '--qrels', {str(qrels)!r}])",
+        "print('_hashlib' in sys.modules, file=sys.stderr)",
+    ])
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          check=True)
+    assert proc.stderr.split() == ["False", "False", "True"]
