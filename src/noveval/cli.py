@@ -226,6 +226,8 @@ def _run_eval(argv: list[str]) -> int:
     }
     matrix = per_query_diffs(scores) if args.per_query else None
     _write_output(render_ranking(table, args.format, metadata, matrix), args.out)
+    if set(judgments.queries()).isdisjoint(runs.queries()):  # every score is then 0
+        print(f"warning: {Path(args.qrels).name} judges none of the runs' queries", file=sys.stderr)
     return 0
 
 

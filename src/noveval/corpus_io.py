@@ -79,15 +79,15 @@ _NO_GROUP = ((), (), ())
 
 
 class _Segment(NamedTuple):
-    """Rows of one (system, query) group from one input, in input order."""
-    # Every row's id, " "-joined; a tuple for entries, whose ids may hold spaces, and for a
-    # judged read that cleared its ids as it read them (see _clear), of the kept rows' only.
-    docs: str | tuple[str, ...]
+    """Rows of one (system, query) group from one input, in input order; in a judged read
+    that cleared its ids as it read them (see `_cut`), the group's one segment, of its kept
+    rows only: their ids as a list of the judgments' own strings, ranks and scores in arrays."""
+    docs: str | tuple[str, ...] | list[str]  # every row's, " "-joined; a tuple for entries
     scores: array | tuple[float, ...]  # every row's, or only the kept rows' (see _group)
-    ranks: range | tuple[int, ...]  # a range when they count up by one
+    ranks: range | tuple[int, ...] | array  # a range when they count up by one
     source: int  # the input's number
     line: int | None  # of the first row (the rows are consecutive lines)
-    kept: array | None = None  # in a judged read, the offsets of the kept rows
+    kept: array | None = None  # in a judged read that holds every id, the kept rows' offsets
 
 
 #: (system, query) -> its segments, keys in first-appearance order.
@@ -173,10 +173,11 @@ class RunSet:
         return sum(len(docs) for docs, _, _ in self._groups.values())
 
 
-def _windowed(queries: list, docs: list, ranks: list, scores: list, systems: list) -> list:
+def _windowed(queries: list, docs: list, ranks: list, scores: list, systems: list) -> list | None:
     """The rows of the columns (queries, docs, ranks, scores, systems) as `_cut` takes them:
-    [windows, docs, ranks, scores], each window (first row, end, query, system) of rows of
-    one key, cut at each rank 1 and then at each change of key."""
+    [windows, docs, scores], each window (first row, end, query, system, ranks) of rows of
+    one key, cut at each rank 1 and then at each change of key, with its ranks as
+    `_counting` gives them; None if a window's rank tokens do not count up."""
     one = b"1" if isinstance(ranks[0], bytes) else 1
     windows, a, n = [], 0, len(ranks)
     while a < n:  # rows a..b run from one rank 1 to the next
@@ -185,72 +186,56 @@ def _windowed(queries: list, docs: list, ranks: list, scores: list, systems: lis
         except ValueError:
             b = n
         if queries[a:b].count(queries[a]) == systems[a:b].count(systems[a]) == b - a:
-            windows.append((a, b, queries[a], systems[a]))
+            windows.append((a, b, queries[a], systems[a], _counting(ranks, a, b)))
         else:
             for (system, query), run in groupby(zip(systems[a:b], queries[a:b])):
                 end = a + len(list(run))
-                windows.append((a, end, query, system))
+                windows.append((a, end, query, system, _counting(ranks, a, end)))
                 a = end
         a = b
-    return [windows, docs, ranks, scores]
+    return [windows, docs, scores] if all(window[4] for window in windows) else None
 
 
 def _cut(segments: _Segments, rows: list, source: int, first: int | None,
-         keep: _Keep | None = None, opened: list | None = None) -> bool:
-    """Add the rows [windows, docs, ranks, scores] (see `_windowed`) to `segments`, a
-    segment a window; `first` is the line number of row 0, None for entries. Rows of bytes
-    hold rank tokens: unless each window's count up from its first in plain digits ("1",
-    "2", ...), nothing is added and the result is False. Their scores are floats, or tokens
-    proven finite (see `_scores`), converted here only for the rows a segment holds. With
-    `keep`, a segment also holds the offsets of its rows of the kept documents, and unless
-    `keep.every_score` only those rows' scores; with `opened` too, its ids are cleared by
-    `_clear`, and only the kept rows' ids are held, as the judgments' own strings."""
-    windows, docs, ranks, scores = rows
-    raw = isinstance(ranks[0], bytes)
-    cuts = []
-    for a, b, _, _ in windows:
-        if raw:
-            r = _plain_first(ranks[a:b])
-            if r is None:
-                return False
-            cuts.append(range(r, r + b - a))
-        else:
-            counting = range(ranks[a], ranks[a] + b - a)
-            cuts.append(counting if ranks[a:b] == list(counting) else tuple(ranks[a:b]))
+         keep: _Keep | None = None, opened: list | None = None) -> None:
+    """Add the rows [windows, docs, scores] (see `_windowed`) to `segments`, a segment a
+    window; `first` is the line number of row 0, None for entries. Scores are floats, or
+    tokens proven finite (see `_scores`), converted here only for the rows a segment holds.
+    With `keep`, a segment also holds the offsets of its rows of the kept documents, and
+    unless `keep.every_score` only those rows' scores. With `opened` too, the ids are
+    cleared by `_clear`, and each window adds its kept rows to its group's one segment."""
+    windows, docs, scores = rows
+    raw = type(docs[0]) is bytes
     spelled = type(scores[0]) is bytes  # tokens proven finite, not yet converted
-    for (a, b, query, system), seg_ranks in zip(windows, cuts):
-        seg_docs, seg_scores = docs[a:b], scores[a:b]
+    for a, b, query, system, seg_ranks in windows:
+        seg_docs = docs[a:b]
         wanted = keep and (keep.raw if raw else keep.text).get(query, {})
-        if raw:
-            query, system = query.decode(), system.decode()
-        found = None
+        key = (system.decode(), query.decode()) if raw else (system, query)
         if opened is not None:
-            found = _clear(opened, segments, (system, query), seg_ranks, seg_docs, wanted)
-            if found is None:
+            kept = _clear(opened, segments, key, seg_ranks, seg_docs, wanted)
+            if kept is None:
                 continue  # foreign: no row kept
-        kept = None
-        if keep is not None:
-            # A cleared segment's few kept rows are placed by index: each scan from row 0
-            # costs about a fifth of a membership test a row, so 8 cost at most 1.7x the
-            # tests, and far less where the kept rows rank high, as relevant ones do.
-            if found is not None and len(found) <= 8:
-                kept = array("I", sorted(map(seg_docs.index, found)))
-            else:
-                kept = array("I", compress(count(), map(wanted.__contains__, seg_docs)))
-            if not keep.every_score:
-                seg_scores = map(seg_scores.__getitem__, kept)
+        else:
+            kept = keep and array("I", compress(count(), map(wanted.__contains__, seg_docs)))
+        seg_scores = (scores[a:b] if kept is None or keep.every_score
+                      else map(scores.__getitem__, map(a.__add__, kept)))
         if spelled:
             seg_scores = map(float, seg_scores)
         if opened is not None:
-            packed = tuple(map(wanted.__getitem__, map(seg_docs.__getitem__, kept)))
-        elif raw:
+            group = segments.setdefault(key, [])
+            if not group:
+                group.append(_Segment([], array("d"), array("I"), source, first + a))
+            group[0].docs.extend(map(wanted.__getitem__, map(seg_docs.__getitem__, kept)))
+            group[0].ranks.extend(map(seg_ranks.__getitem__, kept))
+            group[0].scores.extend(seg_scores)
+            continue
+        if raw:
             packed = b" ".join(seg_docs).decode()
         else:
             packed = tuple(seg_docs) if first is None else " ".join(seg_docs)
-        segments.setdefault((system, query), []).append(_Segment(
+        segments.setdefault(key, []).append(_Segment(
             packed, tuple(seg_scores) if first is None else array("d", seg_scores), seg_ranks,
             source, None if first is None else first + a, kept))
-    return True
 
 
 class _Unclear(Exception):
@@ -258,38 +243,43 @@ class _Unclear(Exception):
 
 
 def _clear(opened: list, segments: _Segments, key: tuple[str, str], ranks: range | tuple,
-           docs: Sequence, wanted: dict) -> set | None:
-    """The segment's ids (tokens as split, bytes or text) that `wanted` holds, once they
-    clear, else None. They clear if the segment starts a group at rank 1 whose key
-    `segments` does not hold yet, or continues the group `opened` by the segment before it
-    ([key, next rank, ids]; only a chunk's row 0 can, as a chunk is cut at each rank 1 and
-    key change), and adding its ids to the group's set leaves none there twice. The
-    segment's group is then `opened`. A group is foreign to the input if its first segment
-    there counts up from past rank 1, or an id of it comes twice (which its check, after a
-    second read, rejects): its segments are dropped, none of its later ones is kept, and
-    `segments` holds it with none. Any other segment raises `_Unclear` (the key back, or
-    ranks that do not count up), and its input is read again with every id held, for
-    `_group` to judge: so an input that clears holds each of its groups foreign or once, in
-    rank order from 1, with no id twice."""
+           docs: Sequence, wanted: dict) -> list | None:
+    """The offsets, in order, of the segment's ids (tokens, bytes or text) that `wanted`
+    holds, once they clear, else None. They clear if the segment starts a group at rank 1
+    that `segments` does not hold yet, or continues the group `opened` by the segment
+    before it ([key, next rank, ids, the ids of `wanted` not among them]; only a chunk's
+    row 0 can), and adding them to the group's ids leaves none there twice. A group is
+    foreign to the input if its first segment there starts past rank 1, or an id of it
+    comes twice (which its check, after a second read, rejects): `segments` holds it with
+    no segment, and none of its rows is kept. Any other segment raises `_Unclear` (the key
+    back, or ranks that do not count up), and its input is read again with every id held:
+    so an input that clears holds each group foreign or once, from rank 1, no id twice."""
     if type(ranks) is not range:
         raise _Unclear
     segs = segments.get(key)
     if opened and opened[0] == key and ranks.start == opened[1]:
-        ids = opened[2]
+        ids, left = opened[2:]
         if type(docs[0]) is not type(next(iter(ids))):  # one chunk split as bytes, one as text
-            ids = {d.decode() if isinstance(d, bytes) else d.encode() for d in ids}
+            ids, left = ({d.decode() if isinstance(d, bytes) else d.encode() for d in held}
+                         for held in (ids, left))
     elif segs == [] or segs is None and ranks.start > 1:
         ids = None  # foreign
     elif segs is None:
-        ids = set()
+        ids, left = set(), wanted.keys()
     else:
         raise _Unclear
     if ids is not None:
-        held, seen = len(ids), wanted.keys() & ids  # each a scan of the smaller set
+        held = len(ids)
         ids.update(docs)
         if len(ids) == held + len(docs):
-            opened[:] = key, ranks.stop, ids
-            return (wanted.keys() & ids).difference(seen)
+            found = left & ids  # a scan of the smaller set
+            opened[:] = key, ranks.stop, ids, left - found
+            # A few found ids are placed by index: each scan from row 0 costs about a fifth
+            # of a membership test a row, so 8 cost at most 1.7x the tests, and far less
+            # where the kept rows rank high, as relevant ones do.
+            if len(found) <= 8:
+                return sorted(map(docs.index, found))
+            return list(compress(count(), map(found.__contains__, docs)))
     segments[key] = []  # foreign
     opened.clear()
     return None
@@ -301,20 +291,24 @@ _PLAIN_RANKS: list[bytes] = []
 _PLAIN_DEPTH = 1 << 16
 
 
-def _plain_first(tokens: list[bytes]) -> int | None:
-    """The first rank of `tokens` if they count up from it in plain digits, else None."""
+def _counting(ranks: list, a: int, b: int) -> range | tuple | None:
+    """Ranks a..b as a range if they count up by one, else as a tuple; rank tokens count up
+    only in plain digits from 1 or more ("1", "2", ...), and give None if they do not."""
     global _PLAIN_RANKS
+    if type(ranks[a]) is not bytes:
+        counting = range(ranks[a], ranks[a] + b - a)
+        return counting if ranks[a:b] == list(counting) else tuple(ranks[a:b])
     try:
-        first = int(tokens[0])
+        first = int(ranks[a])
     except ValueError:
         return None
-    stop = first - 1 + len(tokens)
+    stop = first - 1 + b - a
     if first < 1 or stop > _PLAIN_DEPTH:
         return None
     plain = _PLAIN_RANKS
     if len(plain) < stop:
         plain = _PLAIN_RANKS = [b"%d" % r for r in range(1, 1 + (1 << (stop - 1).bit_length()))]
-    return first if tokens == plain[first - 1:stop] else None
+    return range(first, stop + 1) if ranks[a:b] == plain[first - 1:stop] else None
 
 
 def _checked(segments: _Segments, strict_scores: bool, names: list[str] | None = None,
@@ -354,17 +348,18 @@ def _group(key: tuple[str, str], segs: list[_Segment], strict_scores: bool,
     and its input when the group lies in more than one. Errors start with the `names`
     of its inputs. A group is stored whole, or, from a judged read (with its `keep`),
     whose segments hold the offsets of their kept rows, only those rows: their ids as
-    `keep`'s strings, their ranks and scores in typed arrays. Its segments then hold
-    every row's score only under `strict_scores`, else only the kept rows', and every
-    row's id unless the read cleared them (see `_clear`), which leaves one input,
-    chained from rank 1, with no id twice: its kept rows are joined as they are.
+    `keep`'s strings, their ranks and scores in typed arrays. Its segments hold every
+    row's score only under `strict_scores`. A read that cleared its ids (see `_cut`)
+    gives one segment, which holds the kept rows' columns as they are stored.
     """
     lines_known = segs[0].line is not None
     packed = isinstance(segs[0].docs, str)  # every row's id, else a cleared read's kept ones
-    if lines_known and not packed and not strict_scores:  # cleared: its kept rows as they are
-        ranks = chain.from_iterable(map(seg.ranks.__getitem__, seg.kept) for seg in segs)
-        return (_joined([seg.docs for seg in segs]), array("I", ranks),
-                array("d", chain.from_iterable(seg.scores for seg in segs)))
+    if lines_known and not packed:  # cleared: one segment, its kept rows' columns as they are
+        docs, scores, ranks = segs[0][:3]
+        if not strict_scores:
+            return tuple(docs), ranks, scores
+        segs = [segs[0]._replace(ranks=range(1, len(scores) + 1),  # every row's score
+                                 kept=array("I", [rank - 1 for rank in ranks]))]
     sources = list(dict.fromkeys(seg.source for seg in segs))
     parts = [seg.docs.split(" ") for seg in segs] if packed else [seg.docs for seg in segs]
     docs = _joined(parts)  # in input order
@@ -584,9 +579,9 @@ def _read_runs(reads: Iterable[bytes], segments: _Segments, source: int,
     every_score = keep is None or keep.every_score
     for lineno, text, lines in _chunks(reads):
         rows = _split(text, lines, every_score)
-        if rows is None or not _cut(segments, rows, source, lineno, keep, opened):
-            for first, piece in _rows(text.decode(), lineno):
-                _cut(segments, piece, source, first, keep, opened)
+        for first, piece in _rows(text.decode(), lineno) if rows is None else [(lineno, rows)]:
+            _cut(segments, piece, source, first, keep, opened)
+        rows = piece = None  # this chunk's tokens go before the next chunk is split
 
 
 def _chunks(reads: Iterable[bytes]) -> Iterator[tuple[int, bytes, int]]:
@@ -624,40 +619,39 @@ def _tokens(text: bytes, n: int, fields: int, decode: bool = False) -> list | No
 
 def _split(text: bytes, n: int, every_score: bool) -> list | None:
     """The rows (see `_cut`) of n lines of 6 fields each, split as bytes: at single spaces
-    (see `_five`), else with the NUL tokens of `_tokens`; ranks left as tokens and scores as
-    `_scores` gives them, all converted when the read holds `every_score`. None if the text
-    does not split so or a score is not finite."""
+    (see `_five`), else with the NUL tokens of `_tokens`; scores as `_scores` gives them,
+    all converted when the read holds `every_score`. None if the text does not split so,
+    a window's rank tokens do not count up (see `_counting`) or a score is not finite."""
     if not _byte_split(text):
         return None
     rows = _five(text, n)
     if rows is None:
         toks = _tokens(text, n, 6)
-        if toks is None:
+        rows = toks and _windowed(toks[0::7], toks[2::7], toks[3::7], toks[4::7], toks[5::7])
+        if rows is None:
             return None
-        rows = _windowed(toks[0::7], toks[2::7], toks[3::7], toks[4::7], toks[5::7])
-    rows[3] = _scores(rows[3], every_score)
-    return None if rows[3] is None else rows
+    rows[2] = _scores(rows[2], every_score)
+    return None if rows[2] is None else rows
 
 
 def _five(text: bytes, n: int) -> list | None:
     """The rows (see `_cut`) of n lines split at single spaces, five tokens a line, if that
-    proves each line holds 6 fields and each rank-1 window one key, else None.
+    proves each line holds 6 fields and each rank-1 window one key and plain ranks, else None.
 
     Split so, lines of 5 spaces each give 5n + 1 tokens, and every fifth token joins one
     line's system to the next line's query ("sys\\nq"); the last ends the text ("sys\\n").
     These n merged tokens prove the field count, as `_tokens`' NUL tokens do: if each holds
     a newline, they hold all n, one each, so no other token holds one and each line holds 5
-    spaces. They are checked a window at a time (rows a..b, from one rank 1 to the next):
-    its key is `system\\nquery`, from the token before the window and the window's last, and
-    the tokens between must all equal it. With no empty part or doc or "Q0" token, each line
-    holds 6 non-empty fields, as str.split reads them. A text with other whitespace, runs of
-    spaces, a window whose key changes or an empty token gives None."""
+    spaces. They are checked a window at a time (rows a..b, from one rank 1 to the next),
+    with its ranks (see `_counting`): its key is `system\\nquery`, from the token before the
+    window and the window's last, and the tokens between must all equal it. With no empty
+    part or doc or "Q0" token, each line holds 6 non-empty fields, as str.split reads them."""
     if text.count(b" ", 0, text.find(b"\n")) != 5 or any(map(text.__contains__, _OFF_SPACE)):
         return None  # the first line alone spares a split that cannot pass
     toks = text.split(b" ")
     if len(toks) != 5 * n + 1:
         return None
-    merged, docs, ranks = toks[5::5], toks[2::5], toks[3::5]
+    docs, ranks = toks[2::5], toks[3::5]
     if not (all(docs) and all(toks[1::5])):  # an empty doc or "Q0" token
         return None
     windows, a, query = [], 0, toks[0]
@@ -666,13 +660,14 @@ def _five(text: bytes, n: int) -> list | None:
             b = ranks.index(b"1", a + 1)
         except ValueError:
             b = n
-        system, newline, after = merged[b - 1].partition(b"\n")
-        key = system + b"\n" + query
-        if not (query and system and newline) or merged[a:b - 1].count(key) != b - 1 - a:
+        system, newline, after = toks[5 * b].partition(b"\n")
+        key, counting = system + b"\n" + query, _counting(ranks, a, b)
+        if not (query and system and newline and counting) or (
+                toks[5 * a + 5:5 * b:5].count(key) != b - 1 - a):
             return None
-        windows.append((a, b, query, system))
+        windows.append((a, b, query, system, counting))
         a, query = b, after
-    return [windows, docs, ranks, toks[4::5]]
+    return [windows, docs, toks[4::5]]
 
 
 #: Every digit as "0", for the shape of a score column (see `_scores`).
@@ -684,10 +679,14 @@ def _scores(tokens: list[bytes], convert: bool) -> list | None:
     finite number, else converted, if each converts and is finite, else None. The shape:
     each token is digits around one ".", not a bare ".", so float() reads it, with no run of
     300 digits, so it is below 1e300 and cannot overflow to inf. Joined, with every digit as
-    "0", it is checked whole, with no float() a row."""
+    "0", it is checked whole, with no float() a row; a column whose tokens all have the
+    first one's shape, which one comparison proves, is checked on that token alone."""
     if not convert:
         shape = (b" %b " % b" ".join(tokens)).translate(_DIGITS_AS_ZERO)
-        if (shape.translate(None, b"0") == b" ." * len(tokens) + b" "
+        first, n = shape[:shape.index(b" ", 1) + 1], len(tokens)  # between its spaces
+        if shape == first[:-1] * n + b" ":
+            shape, n = first, 1
+        if (shape.translate(None, b"0") == b" ." * n + b" "
                 and b" . " not in shape and b"0" * 300 not in shape):
             return tokens
     try:

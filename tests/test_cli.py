@@ -508,7 +508,30 @@ def test_odd_run_inputs_end_without_traceback(tmp_path, capsys, which, content, 
     err = capsys.readouterr().err
     assert "Traceback" not in err
     messages = [l for l in err.splitlines() if l.startswith(("error: ", "I/O error: "))]
-    assert len(messages) == (code != 0) and len(err.splitlines()) == len(messages), err
+    # A qrels file that judges nothing judges none of the runs' queries: one warning line.
+    warnings = ["warning: qrels.txt judges none of the runs' queries"] if which == "qrels" and (
+        content == b"\xef\xbb\xbf") else []
+    assert len(messages) == (code != 0) and err.splitlines() == messages + warnings, err
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_qrels_that_judge_none_of_the_run_queries_warn_once(tmp_path, capsys, fmt):
+    """Runs for q1 with qrels for q9 only score 0 everywhere: the report is the one that
+    qrels judging q1's documents irrelevant give, with exit 0 and one warning line on
+    stderr, which qrels that judge q1 at all do not print."""
+    runs = tmp_path / "runs.txt"
+    runs.write_text(RUNS)
+    reports = {}
+    for name, qrels in (("q9", "q9 0 d1 2\nq9 0 d2 1\n"), ("q1", "q1 0 d1 0\nq9 0 d2 2\n")):
+        path = tmp_path / name / "qrels.txt"
+        path.parent.mkdir()
+        path.write_text(qrels)
+        assert main(["--runs", str(runs), "--qrels", str(path), "--format", fmt]) == 0
+        out, err = capsys.readouterr()
+        reports[name] = out.replace(hashlib.sha256(qrels.encode()).hexdigest(), "<qrels>")
+        assert err == ("warning: qrels.txt judges none of the runs' queries\n"
+                       if name == "q9" else "")
+    assert reports["q9"] == reports["q1"]
 
 
 def test_qrels_are_read_before_the_runs(tmp_path, capsys):

@@ -780,6 +780,31 @@ def test_judged_read_memory_is_bounded_by_one_file(tmp_path):
     assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
+def test_judged_read_frees_each_chunks_tokens_before_the_next_split(tmp_path):
+    """A judged load that keeps no row peaks not much higher over a file of eight 32 KiB
+    chunks than over a file of one: a chunk's tokens and columns are freed before the next
+    chunk is split, not when the next chunk's rows replace them (which peaked 1.7x as high)."""
+    def write(name: str, groups: int) -> Path:
+        path = tmp_path / name
+        path.write_text("".join(f"q{g % 7} Q0 doc-{g}-{r:04d} {r} {1 - r / 1000:.4f} s{g // 7}\n"
+                                for g in range(groups) for r in range(1, 201)))
+        return path
+
+    one, eight = write("one.txt", 5), write("eight.txt", 40)
+    assert one.stat().st_size < corpus_io._CHUNK_CHARS < eight.stat().st_size // 7
+    judgments = JudgmentSet({("q0", "doc-elsewhere"): Relevance.RELEVANT})
+    load_runs(one, judged=judgments)  # module memos fill outside the traced loads
+    peaks = []
+    for path in (one, eight):
+        tracemalloc.start()
+        try:
+            assert len(load_runs(path, judged=judgments)) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.4 * peaks[0], peaks
+
+
 @pytest.mark.parametrize("chunk_chars", [1, 40, 333, 1000])
 def test_groups_straddling_chunk_boundaries(tmp_path, monkeypatch, chunk_chars):
     lines = _corpus_lines(seed=chunk_chars)
@@ -982,6 +1007,66 @@ def test_every_layout_loads_as_the_entries_that_made_it(tmp_path, monkeypatch):
             canonical.write_text("".join(line + "\n" for line in _run_lines(entries)))
             assert _report(path, qrels, tmp_path / f"layout{case}.json") == _report(
                 canonical, qrels, tmp_path / f"canonical{case}.json"), case
+
+
+def _faulty_texts(rng: random.Random, entries: list[RunEntry]) -> list[str]:
+    """The entries as the texts of 1-3 run files of single-space lines, with 1-2 random
+    faults: an id twice, a rank twice, a gap, the key back, a score that is not a number or
+    not finite, or a line of 5 or 7 fields."""
+    rows = [line.split(" ") for line in _run_lines(entries)]
+    for _ in range(rng.randint(1, 2)):
+        i = rng.randrange(len(rows))
+        group = [row for row in rows if row[::5] == rows[i][::5]]
+        fault = rng.choice(["id", "rank", "gap", "key_back", "score", "finite", "fields"])
+        if fault in ("id", "rank"):
+            rows[i][2 if fault == "id" else 3] = rng.choice(group)[2 if fault == "id" else 3]
+        elif fault == "gap":
+            del rows[i]
+        elif fault == "key_back":
+            rows.append(rows.pop(rows.index(group[-1 if len(group) == 1 else -2])))
+        elif fault in ("score", "finite"):
+            rows[i][4] = rng.choice(["x", ".", "1.2.3", "0x1p0", "--1"] if fault == "score"
+                                    else ["inf", "-nan", "1e999", "9" * 400 + ".5"])
+        elif rng.random() < 0.5:
+            del rows[i][1]
+        else:
+            rows[i].insert(1, "Q0")
+    lines = [" ".join(row) + "\n" for row in rows]
+    cuts = sorted(rng.sample(range(1, len(lines)), min(rng.randint(0, 2), len(lines) - 1)))
+    return ["".join(lines[a:b]) for a, b in zip([0, *cuts], [*cuts, len(lines)])]
+
+
+def _outcome(path: Path, strict: bool, judged: JudgmentSet | None) -> tuple:
+    """What a load gives: its RunSet or its error's type and text, and the digests."""
+    digests = {}
+    try:
+        result = load_runs(path, strict, judged=judged, digests=digests)
+    except (ParseError, ValidationError) as exc:
+        result = type(exc), str(exc)
+    return result, digests
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 13, 64, 1 << 15])
+def test_random_faults_load_as_the_line_path_reads_them(tmp_path, monkeypatch, chunk_chars):
+    """Run files with random faults, whole and judged, strict and not: each load gives the
+    RunSet, or the error, and the digests that the same files give read line by line, with
+    the byte split turned off."""
+    monkeypatch.setattr(corpus_io, "_CHUNK_CHARS", chunk_chars)
+    rng = random.Random(30 + chunk_chars)
+    split = corpus_io._split
+    for case in range(30):
+        entries = _random_entries(rng)
+        texts = _faulty_texts(rng, entries)
+        path = _write_dir(tmp_path / f"case{case}", {
+            f"part{i}.txt": text for i, text in enumerate(texts)})
+        path = path if len(texts) > 1 else path / "part0.txt"
+        judgments = _graded(rng.sample(entries, len(entries) // 2))
+        for strict in (False, True):
+            for judged in (None, judgments):
+                monkeypatch.setattr(corpus_io, "_split", split)
+                outcome = _outcome(path, strict, judged)
+                monkeypatch.setattr(corpus_io, "_split", lambda *args: None)
+                assert outcome == _outcome(path, strict, judged), (case, strict, texts)
 
 
 # The one-split tokenizer against the entries each text holds, at every chunk size
