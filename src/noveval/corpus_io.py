@@ -25,9 +25,10 @@ digits around one "." is finite by its shape, and only the scores that a segment
 are converted (see `_scores`). In `load_runs(..., judged=J)` the reader clears each
 segment's ids as it reads them and holds only the rows of documents that J grades
 relevant or partially relevant (see `_clear`): their ids as J's own strings, their ranks
-and scores in typed arrays. One group check, which
-`RunSet(entries)` shares, is the only place that joins a group's segments and decides
-what is valid and what every error says.
+and scores in typed arrays. A file whose ids do not clear is read again whole, as the
+merge below reads files again; each group of such a read is checked whole, then keeps
+J's rows. One group check, which `RunSet(entries)` shares, is the only place that joins
+a group's segments and decides what is valid and what every error says.
 `load_runs` reads each file on its own and checks its groups when it ends, so it holds
 one file's segments and one chunk's tokens at a time; it then merges the files in
 order, checking a group that crosses files or is foreign to one (see `_clear`) after a
@@ -48,7 +49,7 @@ import operator
 from array import array
 from bisect import bisect_right
 from enum import Enum
-from itertools import accumulate, chain, compress, count, groupby, repeat
+from itertools import accumulate, chain, compress, count, groupby
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -79,15 +80,14 @@ _NO_GROUP = ((), (), ())
 
 
 class _Segment(NamedTuple):
-    """Rows of one (system, query) group from one input, in input order; in a judged read
-    that cleared its ids as it read them (see `_cut`), the group's one segment, of its kept
+    """Rows of one (system, query) group from one input, in input order; in a judged read,
+    which clears its ids as it reads them (see `_cut`), the group's one segment, of its kept
     rows only: their ids as a list of the judgments' own strings, ranks and scores in arrays."""
     docs: str | tuple[str, ...] | list[str]  # every row's, " "-joined; a tuple for entries
-    scores: array | tuple[float, ...]  # every row's, or only the kept rows' (see _group)
+    scores: array | tuple[float, ...]  # every row's; a judged read's kept rows' (see _Keep)
     ranks: range | tuple[int, ...] | array  # a range when they count up by one
     source: int  # the input's number
     line: int | None  # of the first row (the rows are consecutive lines)
-    kept: array | None = None  # in a judged read that holds every id, the kept rows' offsets
 
 
 #: (system, query) -> its segments, keys in first-appearance order.
@@ -200,42 +200,37 @@ def _cut(segments: _Segments, rows: list, source: int, first: int | None,
          keep: _Keep | None = None, opened: list | None = None) -> None:
     """Add the rows [windows, docs, scores] (see `_windowed`) to `segments`, a segment a
     window; `first` is the line number of row 0, None for entries. Scores are floats, or
-    tokens proven finite (see `_scores`), converted here only for the rows a segment holds.
-    With `keep`, a segment also holds the offsets of its rows of the kept documents, and
-    unless `keep.every_score` only those rows' scores. With `opened` too, the ids are
-    cleared by `_clear`, and each window adds its kept rows to its group's one segment."""
+    in a judged read tokens proven finite (see `_scores`), converted here only for the rows
+    a segment holds. With `keep` (a judged read) and `opened`, the ids are cleared by
+    `_clear`, and each window adds its kept rows to its group's one segment, with every
+    row's score if `keep.every_score`."""
     windows, docs, scores = rows
     raw = type(docs[0]) is bytes
     spelled = type(scores[0]) is bytes  # tokens proven finite, not yet converted
     for a, b, query, system, seg_ranks in windows:
         seg_docs = docs[a:b]
-        wanted = keep and (keep.raw if raw else keep.text).get(query, {})
         key = (system.decode(), query.decode()) if raw else (system, query)
-        if opened is not None:
-            kept = _clear(opened, segments, key, seg_ranks, seg_docs, wanted)
-            if kept is None:
-                continue  # foreign: no row kept
-        else:
-            kept = keep and array("I", compress(count(), map(wanted.__contains__, seg_docs)))
-        seg_scores = (scores[a:b] if kept is None or keep.every_score
-                      else map(scores.__getitem__, map(a.__add__, kept)))
-        if spelled:
-            seg_scores = map(float, seg_scores)
-        if opened is not None:
-            group = segments.setdefault(key, [])
-            if not group:
-                group.append(_Segment([], array("d"), array("I"), source, first + a))
-            group[0].docs.extend(map(wanted.__getitem__, map(seg_docs.__getitem__, kept)))
-            group[0].ranks.extend(map(seg_ranks.__getitem__, kept))
-            group[0].scores.extend(seg_scores)
+        if keep is None:
+            if raw:
+                packed = b" ".join(seg_docs).decode()
+            else:
+                packed = tuple(seg_docs) if first is None else " ".join(seg_docs)
+            segments.setdefault(key, []).append(_Segment(
+                packed, tuple(scores[a:b]) if first is None else array("d", scores[a:b]),
+                seg_ranks, source, None if first is None else first + a))
             continue
-        if raw:
-            packed = b" ".join(seg_docs).decode()
-        else:
-            packed = tuple(seg_docs) if first is None else " ".join(seg_docs)
-        segments.setdefault(key, []).append(_Segment(
-            packed, tuple(seg_scores) if first is None else array("d", seg_scores), seg_ranks,
-            source, None if first is None else first + a, kept))
+        wanted = (keep.raw if raw else keep.text).get(query, {})
+        kept = _clear(opened, segments, key, seg_ranks, seg_docs, wanted)
+        if kept is None:
+            continue  # foreign: no row kept
+        seg_scores = (scores[a:b] if keep.every_score
+                      else map(scores.__getitem__, map(a.__add__, kept)))
+        group = segments.setdefault(key, [])
+        if not group:
+            group.append(_Segment([], array("d"), array("I"), source, first + a))
+        group[0].docs.extend(map(wanted.__getitem__, map(seg_docs.__getitem__, kept)))
+        group[0].ranks.extend(map(seg_ranks.__getitem__, kept))
+        group[0].scores.extend(map(float, seg_scores) if spelled else seg_scores)
 
 
 class _Unclear(Exception):
@@ -252,8 +247,8 @@ def _clear(opened: list, segments: _Segments, key: tuple[str, str], ranks: range
     foreign to the input if its first segment there starts past rank 1, or an id of it
     comes twice (which its check, after a second read, rejects): `segments` holds it with
     no segment, and none of its rows is kept. Any other segment raises `_Unclear` (the key
-    back, or ranks that do not count up), and its input is read again with every id held:
-    so an input that clears holds each group foreign or once, from rank 1, no id twice."""
+    back, or ranks that do not count up), and its input is read again whole: so an input
+    that clears holds each group foreign or once, from rank 1, no id twice."""
     if type(ranks) is not range:
         raise _Unclear
     segs = segments.get(key)
@@ -346,24 +341,24 @@ def _group(key: tuple[str, str], segs: list[_Segment], strict_scores: bool,
     entries, and in strict mode a score that rises. A duplicate rank or document
     names the line of the row that repeats it, a gap that of the lowest rank past it,
     and its input when the group lies in more than one. Errors start with the `names`
-    of its inputs. A group is stored whole, or, from a judged read (with its `keep`),
-    whose segments hold the offsets of their kept rows, only those rows: their ids as
-    `keep`'s strings, their ranks and scores in typed arrays. Its segments hold every
-    row's score only under `strict_scores`. A read that cleared its ids (see `_cut`)
-    gives one segment, which holds the kept rows' columns as they are stored.
+    of its inputs. A group is stored whole, or, with a judged read's `keep`, only its rows
+    of kept documents, in rank order: their ids as `keep`'s strings, their ranks and
+    scores in typed arrays. A judged read that cleared its ids (see `_cut`) gives one
+    segment, which holds the kept rows' columns as they are stored, and, under
+    `strict_scores`, every row's score, which is checked here; other segments hold every
+    row, and the group is checked whole and then filtered to its kept rows.
     """
     lines_known = segs[0].line is not None
-    packed = isinstance(segs[0].docs, str)  # every row's id, else a cleared read's kept ones
-    if lines_known and not packed:  # cleared: one segment, its kept rows' columns as they are
+    if lines_known and type(segs[0].docs) is list:  # cleared: its kept rows' columns as they are
         docs, scores, ranks = segs[0][:3]
-        if not strict_scores:
-            return tuple(docs), ranks, scores
-        segs = [segs[0]._replace(ranks=range(1, len(scores) + 1),  # every row's score
-                                 kept=array("I", [rank - 1 for rank in ranks]))]
+        if strict_scores:  # every row's score, from rank 1
+            _check_falling(key, [segs[0].source], names, scores)
+            scores = array("d", [scores[rank - 1] for rank in ranks])
+        return tuple(docs), ranks, scores
     sources = list(dict.fromkeys(seg.source for seg in segs))
-    parts = [seg.docs.split(" ") for seg in segs] if packed else [seg.docs for seg in segs]
+    parts = [seg.docs.split(" ") if lines_known else seg.docs for seg in segs]  # every row's
     docs = _joined(parts)  # in input order
-    for source in sources if packed else ():  # a document twice in one input
+    for source in sources if lines_known else ():  # a document twice in one input
         own = [i for i, seg in enumerate(segs) if seg.source == source]
         own_docs = docs if len(sources) == 1 else _joined([parts[i] for i in own])
         dup = _first_repeat(own_docs)
@@ -371,17 +366,15 @@ def _group(key: tuple[str, str], segs: list[_Segment], strict_scores: bool,
             line = _joined([range(segs[i].line, segs[i].line + len(parts[i])) for i in own])[dup]
             raise _fault(key, [source], names, f"duplicate document {_echo(own_docs[dup])}",
                          f" (line {line})")
-    every_score = strict_scores or keep is None
     seg_ranks = [seg.ranks for seg in segs]
     firsts = accumulate(map(len, seg_ranks), initial=1)
     chained = all(ranks == range(r, r + len(ranks)) for ranks, r in zip(seg_ranks, firsts))
     if chained:
         scores = _joined([seg.scores for seg in segs])
     else:
-        by_rank: dict[int, tuple[str, float | None]] = {}
+        by_rank: dict[int, tuple[str, float]] = {}
         for part, seg in zip(parts, segs):
-            row_scores = seg.scores if every_score else repeat(None)  # None: not held
-            for i, rank, doc, score in zip(count(), seg.ranks, part, row_scores):
+            for i, rank, doc, score in zip(count(), seg.ranks, part, seg.scores):
                 if rank in by_rank:
                     raise _fault(key, sources, names, f"duplicate rank {_echo(str(rank), str)}",
                                  row=(seg, i))
@@ -404,21 +397,22 @@ def _group(key: tuple[str, str], segs: list[_Segment], strict_scores: bool,
             raise _fault(key, sources, names, f"duplicate document {_echo(docs[dup])}",
                          row=(seg, seg.ranks.index(dup + 1)))
     if strict_scores:
-        rank = next(compress(count(1), map(operator.lt, scores, scores[1:])), None)
-        if rank is not None:
-            raise _fault(key, sources, names, f"score increases from rank {rank} to {rank + 1}",
-                         " (strict mode)")
+        _check_falling(key, sources, names, scores)
     if keep is None:
         return tuple(docs), range(1, len(docs) + 1), tuple(scores)
-    kept = [chain.from_iterable(column) for column in (  # the kept rows' columns
-        [map(part.__getitem__, seg.kept) if packed else part for seg, part in zip(segs, parts)],
-        [map(seg.ranks.__getitem__, seg.kept) for seg in segs],
-        [map(seg.scores.__getitem__, seg.kept) if every_score else seg.scores for seg in segs])]
-    if not chained:  # merged by rank: sort the kept rows by rank
-        kept = [*zip(*sorted(zip(*kept), key=operator.itemgetter(1)))] or _NO_GROUP
-    docs, ranks, scores = kept
-    return (tuple(map(keep.text.get(key[1], {}).__getitem__, docs)),
-            array("I", ranks), array("d", scores))
+    wanted = keep.text.get(key[1], {})
+    rows = list(compress(count(), map(wanted.__contains__, docs)))  # kept, in rank order
+    return (tuple(map(wanted.__getitem__, map(docs.__getitem__, rows))),
+            array("I", map((1).__add__, rows)), array("d", map(scores.__getitem__, rows)))
+
+
+def _check_falling(key: tuple[str, str], sources: list[int], names: list[str] | None,
+                   scores: Sequence[float]) -> None:
+    """Raise the strict-mode error of a group whose scores, in rank order, ever rise."""
+    rank = next(compress(count(1), map(operator.lt, scores, scores[1:])), None)
+    if rank is not None:
+        raise _fault(key, sources, names, f"score increases from rank {rank} to {rank + 1}",
+                     " (strict mode)")
 
 
 def _fault(key: tuple[str, str], sources: list[int], names: list[str] | None, text: str,
@@ -565,17 +559,17 @@ _OFF_SPACE = (b"\t", b"\x0b", b"\x0c", b"\r")
 
 
 def _read_runs(reads: Iterable[bytes], segments: _Segments, source: int,
-               keep: _Keep | None = None, clear: bool = False) -> None:
+               keep: _Keep | None = None) -> None:
     """Read one run input into `segments`, in chunks cut after the last newline of a read.
 
     Each chunk is cut on its own; only the partial last line carries over to the
     next, and `_checked` joins a group's segments. A chunk that does not split as
     bytes with plain ranks is decoded and read line by line (see `_rows`), which
     raises the error of its first line that has not 6 fields or does not convert.
-    With `keep` and `clear`, each segment's ids are cleared as they are read (see
-    `_clear`, which may raise `_Unclear`), and only the kept rows' ids are held.
+    With a judged read's `keep`, each segment's ids are cleared as read (see `_clear`,
+    which may raise `_Unclear`), and only the kept rows are held; without, every row.
     """
-    opened = [] if clear else None
+    opened: list = []
     every_score = keep is None or keep.every_score
     for lineno, text, lines in _chunks(reads):
         rows = _split(text, lines, every_score)
@@ -846,7 +840,7 @@ def load_runs(path: str | Path, strict_scores: bool = False, *,
     segments: _Segments = {}  # the crossing groups that a later file still holds
     for source in sorted({s for key in across for s in holders[key]}):
         own: _Segments = {}
-        _read_file(files[source], lambda reads: _read_runs(reads, own, source, keep), None)
+        _read_file(files[source], lambda reads: _read_runs(reads, own, source), None)
         for key in filter(across.__contains__, own):
             segments.setdefault(key, []).extend(own[key])
         ended = {key: segments.pop(key) for key in list(segments) if holders[key][-1] == source}
@@ -862,15 +856,16 @@ def _read_run_file(path: Path, source: int, keep: _Keep | None, strict_scores: b
     """Read input `source` of `names` on its own: each group's key, in first-appearance
     order, with its checked columns, its error, or None if it is foreign (see `_clear`).
     With `keep`, the ids are cleared as read; if they do not clear, the file is read again
-    from its start with every id held, which leaves no group foreign."""
-    segments: _Segments = {}
-    try:
-        _read_file(path, lambda reads: _read_runs(reads, segments, source, keep,
-                                                  clear=keep is not None), digests)
-    except _Unclear:
-        segments.clear()
-        _read_file(path, lambda reads: _read_runs(reads, segments, source, keep), digests)
-    return _checked(segments, strict_scores, names, hold=True, keep=keep)
+    whole from its start, which leaves no group foreign, and each group is checked whole
+    and then keeps its rows of kept documents (see `_group`)."""
+    for read_keep in (keep, None):
+        segments: _Segments = {}
+        try:
+            _read_file(path, lambda reads: _read_runs(reads, segments, source, read_keep),
+                       digests)
+        except _Unclear:
+            continue  # read again once the handler has freed this read's frames and tokens
+        return _checked(segments, strict_scores, names, hold=True, keep=keep)
 
 
 def _file_reads(fh: IO[bytes], digest) -> Iterator[bytes]:

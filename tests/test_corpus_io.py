@@ -662,14 +662,15 @@ def test_cleared_groups_keep_the_judged_rows_in_rank_order(tmp_path, monkeypatch
 
 
 
-@pytest.mark.parametrize("layout", ["plain", "key_back", "split_37", "line_path", "strict"])
+@pytest.mark.parametrize("layout", ["plain", "key_back", "ranks_down", "split_37", "line_path",
+                                    "strict"])
 def test_every_judged_path_holds_the_judgments_ids_in_typed_columns(tmp_path, monkeypatch,
                                                                      layout):
     """Each judged path keeps each row's id as the JudgmentSet's own string, not a copy, and
     its ranks and scores in arrays of unsigned ints and doubles: the byte read that clears
-    its ids, a group whose key comes back (the file read again whole), groups cut across
-    files of 37 lines (merged after a second read), a "#" line and a non-ASCII id (read line
-    by line) and strict scores."""
+    its ids, a group whose key comes back and groups whose ranks count down (read line by
+    line; each file read again whole), groups cut across files of 37 lines (merged after a
+    second read), a "#" line and a non-ASCII id (read line by line) and strict scores."""
     lines = _corpus_lines()
     qrels = "".join(f"{q} 0 d{d} {(2, 0, 1)[d % 3]}\n" for q in ("q0", "q1", "q2")
                     for d in range(200))
@@ -678,6 +679,10 @@ def test_every_judged_path_holds_the_judgments_ids_in_typed_columns(tmp_path, mo
         assert len(first) > 1
         lines.remove(first[-1])
         lines.append(first[-1])
+    elif layout == "ranks_down":  # each group's rows in reverse rank order
+        groups = [list(group) for _, group in groupby(lines, lambda line: line.split()[::5])]
+        assert max(map(len, groups)) > 1
+        lines = [line for group in groups for line in reversed(group)]
     elif layout == "line_path":
         lines = [("# c\n" if i % 50 == 0 else "") + line.replace(" d", " dé")
                  for i, line in enumerate(lines)]
@@ -706,9 +711,10 @@ def test_every_judged_path_holds_the_judgments_ids_in_typed_columns(tmp_path, mo
     monkeypatch.setattr(corpus_io, "_rows", recording_rows)
     strict = layout == "strict"
     judged = load_runs(path, strict, judged=judgments)
-    if layout != "split_37":  # a key that comes back has its file read again whole
-        assert opened == ["runs.txt"] * (1 + (layout == "key_back"))
-    assert bool(line_rows) == (layout == "line_path")
+    read_again = layout in ("key_back", "ranks_down")  # the file is read again whole
+    if layout != "split_37":
+        assert opened == ["runs.txt"] * (1 + read_again)
+    assert bool(line_rows) == (layout in ("line_path", "ranks_down"))
     assert judged == _judged_rows(load_runs(path, strict), judgments)
     assert len(judged) > 50
     for (_, query), (docs, ranks, scores) in judged._groups.items():
@@ -803,6 +809,29 @@ def test_judged_read_frees_each_chunks_tokens_before_the_next_split(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.4 * peaks[0], peaks
+
+
+def test_a_judged_read_that_does_not_clear_peaks_as_the_whole_read(tmp_path):
+    """A judged load of a file whose groups interleave, so that its ids do not clear and it
+    is read again whole, peaks no higher than about the whole load of it: the second read
+    starts once the first one's tokens and columns are freed, and each group it checks
+    whole keeps only its judged rows (a second read inside the `except` handler, which kept
+    the first read's frames alive, and kept-row offsets per segment peaked 1.34x as high)."""
+    path = tmp_path / "interleaved.txt"
+    path.write_text("".join(f"q{q} Q0 doc-{s}-{q}-{r:03d} {r} {1 - r / 1000:.4f} s{s:02d}\n"
+                            for q in range(2) for r in range(1, 201) for s in range(20)))
+    judgments = JudgmentSet({(f"q{q}", f"doc-{s}-{q}-{r:03d}"): Relevance.RELEVANT
+                             for q in range(2) for s in range(20) for r in range(1, 201, 20)})
+    load_runs(path, judged=judgments)  # module memos fill outside the traced loads
+    peaks = []
+    for judged, rows in ((None, 8000), (judgments, 400)):
+        tracemalloc.start()
+        try:
+            assert len(load_runs(path, judged=judged)) == rows
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("chunk_chars", [1, 40, 333, 1000])
