@@ -26,7 +26,8 @@ are converted (see `_scores`). In `load_runs(..., judged=J)` the reader clears e
 segment's ids as it reads them and holds only the rows of documents that J grades
 relevant or partially relevant (see `_clear`): their ids as J's own strings, their ranks
 and scores in typed arrays. A file whose ids do not clear is read again whole, as the
-merge below reads files again; each group of such a read is checked whole, then keeps
+merge below reads files again, and under strict scores, whose check needs every score,
+each file is read whole from the start; each group of a whole read is checked whole, then keeps
 J's rows. One group check, which `RunSet(entries)` shares, is the only place that joins
 a group's segments and decides what is valid and what every error says.
 `load_runs` reads each file on its own and checks its groups when it ends, so it holds
@@ -80,11 +81,11 @@ _NO_GROUP = ((), (), ())
 
 
 class _Segment(NamedTuple):
-    """Rows of one (system, query) group from one input, in input order; in a judged read,
-    which clears its ids as it reads them (see `_cut`), the group's one segment, of its kept
+    """Rows of one (system, query) group from one input, in input order; in a judged read
+    that clears its ids as it reads them (see `_cut`), the group's one segment, of its kept
     rows only: their ids as a list of the judgments' own strings, ranks and scores in arrays."""
     docs: str | tuple[str, ...] | list[str]  # every row's, " "-joined; a tuple for entries
-    scores: array | tuple[float, ...]  # every row's; a judged read's kept rows' (see _Keep)
+    scores: array | tuple[float, ...]  # every row's; a cleared read's kept rows'
     ranks: range | tuple[int, ...] | array  # a range when they count up by one
     source: int  # the input's number
     line: int | None  # of the first row (the rows are consecutive lines)
@@ -92,14 +93,6 @@ class _Segment(NamedTuple):
 
 #: (system, query) -> its segments, keys in first-appearance order.
 _Segments = dict[tuple[str, str], list[_Segment]]
-
-
-class _Keep(NamedTuple):
-    """By query, the documents whose rows a judged read keeps, as text and as bytes, each
-    mapped to the `JudgmentSet`'s own id string, which the kept rows hold."""
-    text: dict[str, dict[str, str]]
-    raw: dict[bytes, dict[bytes, str]]
-    every_score: bool  # segments hold every row's score (for the strict check), else the kept rows'
 
 
 class RunSet:
@@ -197,20 +190,19 @@ def _windowed(queries: list, docs: list, ranks: list, scores: list, systems: lis
 
 
 def _cut(segments: _Segments, rows: list, source: int, first: int | None,
-         keep: _Keep | None = None, opened: list | None = None) -> None:
+         judged: JudgmentSet | None = None, opened: list | None = None) -> None:
     """Add the rows [windows, docs, scores] (see `_windowed`) to `segments`, a segment a
-    window; `first` is the line number of row 0, None for entries. Scores are floats, or
-    in a judged read tokens proven finite (see `_scores`), converted here only for the rows
-    a segment holds. With `keep` (a judged read) and `opened`, the ids are cleared by
-    `_clear`, and each window adds its kept rows to its group's one segment, with every
-    row's score if `keep.every_score`."""
+    window; `first` is the line number of row 0, None for entries. Scores are floats, or,
+    in a read that clears its ids, tokens proven finite (see `_scores`), converted here
+    only for the rows a segment holds. With `judged` (a read that clears) and `opened`, the ids
+    are cleared by `_clear`, and each window adds its kept rows to its group's one segment."""
     windows, docs, scores = rows
     raw = type(docs[0]) is bytes
     spelled = type(scores[0]) is bytes  # tokens proven finite, not yet converted
     for a, b, query, system, seg_ranks in windows:
         seg_docs = docs[a:b]
         key = (system.decode(), query.decode()) if raw else (system, query)
-        if keep is None:
+        if judged is None:
             if raw:
                 packed = b" ".join(seg_docs).decode()
             else:
@@ -219,12 +211,11 @@ def _cut(segments: _Segments, rows: list, source: int, first: int | None,
                 packed, tuple(scores[a:b]) if first is None else array("d", scores[a:b]),
                 seg_ranks, source, None if first is None else first + a))
             continue
-        wanted = (keep.raw if raw else keep.text).get(query, {})
+        wanted = (judged._raw_ids if raw else judged._ids).get(query, {})
         kept = _clear(opened, segments, key, seg_ranks, seg_docs, wanted)
         if kept is None:
             continue  # foreign: no row kept
-        seg_scores = (scores[a:b] if keep.every_score
-                      else map(scores.__getitem__, map(a.__add__, kept)))
+        seg_scores = map(scores.__getitem__, map(a.__add__, kept))
         group = segments.setdefault(key, [])
         if not group:
             group.append(_Segment([], array("d"), array("I"), source, first + a))
@@ -307,7 +298,7 @@ def _counting(ranks: list, a: int, b: int) -> range | tuple | None:
 
 
 def _checked(segments: _Segments, strict_scores: bool, names: list[str] | None = None,
-             hold: bool = False, keep: _Keep | None = None) -> dict:
+             hold: bool = False, judged: JudgmentSet | None = None) -> dict:
     """Join each group's segments into (docs, ranks, scores) columns in rank order.
 
     This is the one place where a group's segments are joined; it pops them
@@ -316,13 +307,13 @@ def _checked(segments: _Segments, strict_scores: bool, names: list[str] | None =
     first error is raised, or, with `hold`, stored in place of the group's
     columns (without its traceback, which would keep them alive) and the check
     goes on. A group held with no segment is foreign to its input (see `_clear`)
-    and gives None. A judged read passes its `keep`, whose id strings the kept rows share.
+    and gives None. A judged read passes `judged`, whose id strings the kept rows share.
     """
     groups = {}
     for key in list(segments):
         segs = segments.pop(key)
         try:
-            groups[key] = _group(key, segs, strict_scores, names, keep) if segs else None
+            groups[key] = _group(key, segs, strict_scores, names, judged) if segs else None
         except ValidationError as exc:
             if not hold:
                 raise
@@ -332,7 +323,7 @@ def _checked(segments: _Segments, strict_scores: bool, names: list[str] | None =
 
 def _group(key: tuple[str, str], segs: list[_Segment], strict_scores: bool,
            names: list[str] | None,
-           keep: _Keep | None) -> tuple[Sequence[str], Sequence[int], Sequence[float]]:
+           judged: JudgmentSet | None) -> tuple[Sequence[str], Sequence[int], Sequence[float]]:
     """One group's (docs, ranks, scores) columns in rank order, checked.
 
     Segments whose ranks chain 1..n are joined as they are, others merged by rank.
@@ -341,20 +332,16 @@ def _group(key: tuple[str, str], segs: list[_Segment], strict_scores: bool,
     entries, and in strict mode a score that rises. A duplicate rank or document
     names the line of the row that repeats it, a gap that of the lowest rank past it,
     and its input when the group lies in more than one. Errors start with the `names`
-    of its inputs. A group is stored whole, or, with a judged read's `keep`, only its rows
-    of kept documents, in rank order: their ids as `keep`'s strings, their ranks and
-    scores in typed arrays. A judged read that cleared its ids (see `_cut`) gives one
-    segment, which holds the kept rows' columns as they are stored, and, under
-    `strict_scores`, every row's score, which is checked here; other segments hold every
-    row, and the group is checked whole and then filtered to its kept rows.
+    of its inputs. A group is stored whole, or, with a `judged` read, only its rows of
+    documents that `judged` keeps, in rank order: their ids as its own strings, their ranks
+    and scores in typed arrays. A judged read that cleared its ids (see `_cut`, never under
+    `strict_scores`) gives one segment, which holds the kept rows' columns as they are
+    stored; other segments hold every row, and the group is checked whole and then filtered
+    to its kept rows.
     """
     lines_known = segs[0].line is not None
     if lines_known and type(segs[0].docs) is list:  # cleared: its kept rows' columns as they are
-        docs, scores, ranks = segs[0][:3]
-        if strict_scores:  # every row's score, from rank 1
-            _check_falling(key, [segs[0].source], names, scores)
-            scores = array("d", [scores[rank - 1] for rank in ranks])
-        return tuple(docs), ranks, scores
+        return tuple(segs[0].docs), segs[0].ranks, segs[0].scores
     sources = list(dict.fromkeys(seg.source for seg in segs))
     parts = [seg.docs.split(" ") if lines_known else seg.docs for seg in segs]  # every row's
     docs = _joined(parts)  # in input order
@@ -396,23 +383,17 @@ def _group(key: tuple[str, str], segs: list[_Segment], strict_scores: bool,
             seg = next(seg for seg in segs if dup + 1 in seg.ranks)
             raise _fault(key, sources, names, f"duplicate document {_echo(docs[dup])}",
                          row=(seg, seg.ranks.index(dup + 1)))
-    if strict_scores:
-        _check_falling(key, sources, names, scores)
-    if keep is None:
+    if strict_scores:  # the first rank whose score the next one's exceeds
+        rank = next(compress(count(1), map(operator.lt, scores, scores[1:])), None)
+        if rank is not None:
+            raise _fault(key, sources, names, f"score increases from rank {rank} to {rank + 1}",
+                         " (strict mode)")
+    if judged is None:
         return tuple(docs), range(1, len(docs) + 1), tuple(scores)
-    wanted = keep.text.get(key[1], {})
+    wanted = judged._ids.get(key[1], {})
     rows = list(compress(count(), map(wanted.__contains__, docs)))  # kept, in rank order
     return (tuple(map(wanted.__getitem__, map(docs.__getitem__, rows))),
             array("I", map((1).__add__, rows)), array("d", map(scores.__getitem__, rows)))
-
-
-def _check_falling(key: tuple[str, str], sources: list[int], names: list[str] | None,
-                   scores: Sequence[float]) -> None:
-    """Raise the strict-mode error of a group whose scores, in rank order, ever rise."""
-    rank = next(compress(count(1), map(operator.lt, scores, scores[1:])), None)
-    if rank is not None:
-        raise _fault(key, sources, names, f"score increases from rank {rank} to {rank + 1}",
-                     " (strict mode)")
 
 
 def _fault(key: tuple[str, str], sources: list[int], names: list[str] | None, text: str,
@@ -468,13 +449,14 @@ class JudgmentSet:
 
     def _index(self, by_query: dict[str, dict[str, Relevance]]) -> JudgmentSet:
         """Hold the query -> doc -> grade dicts, none of them empty, and index by query its
-        relevant documents and its relevant and partially relevant ones."""
-        self._by_query, self._relevant = by_query, {}
+        relevant documents and, for the rows a judged read keeps, its relevant and partially
+        relevant ones, each id as text and as bytes mapped to its own string."""
+        self._by_query, self._relevant, self._ids, self._raw_ids = by_query, {}, {}, {}
         irrelevant, relevant_grade = Relevance.IRRELEVANT, Relevance.RELEVANT  # one lookup each
         for query, grades in by_query.items():
-            kept = [d for d, g in grades.items() if g is not irrelevant]
-            relevant = [d for d in kept if grades[d] is relevant_grade]
-            self._relevant[query] = tuple(relevant), tuple(kept)
+            kept = self._ids[query] = {d: d for d, g in grades.items() if g is not irrelevant}
+            self._relevant[query] = tuple(d for d in kept if grades[d] is relevant_grade)
+            self._raw_ids[query.encode()] = {d.encode(): d for d in kept}
         return self
 
     def grade(self, query: str, doc: str) -> Relevance | None:
@@ -484,13 +466,7 @@ class JudgmentSet:
         return sorted(self._by_query)
 
     def relevant_docs(self, query: str, include_partial: bool = False) -> set[str]:
-        return set(self._relevant.get(query, ((), ()))[include_partial])
-
-    def _kept(self, every_score: bool) -> _Keep:
-        """By query, the documents graded relevant or partially relevant."""
-        text = {q: {d: d for d in kept} for q, (_, kept) in self._relevant.items()}
-        return _Keep(text, {q.encode(): {d.encode(): d for d in docs}
-                            for q, docs in text.items()}, every_score)
+        return set((self._ids if include_partial else self._relevant).get(query, ()))
 
     def items(self) -> Iterator[tuple[str, str, Relevance]]:
         for q, grades in sorted(self._by_query.items()):
@@ -559,22 +535,22 @@ _OFF_SPACE = (b"\t", b"\x0b", b"\x0c", b"\r")
 
 
 def _read_runs(reads: Iterable[bytes], segments: _Segments, source: int,
-               keep: _Keep | None = None) -> None:
+               judged: JudgmentSet | None = None) -> None:
     """Read one run input into `segments`, in chunks cut after the last newline of a read.
 
     Each chunk is cut on its own; only the partial last line carries over to the
     next, and `_checked` joins a group's segments. A chunk that does not split as
     bytes with plain ranks is decoded and read line by line (see `_rows`), which
     raises the error of its first line that has not 6 fields or does not convert.
-    With a judged read's `keep`, each segment's ids are cleared as read (see `_clear`,
-    which may raise `_Unclear`), and only the kept rows are held; without, every row.
+    With `judged`, each segment's ids are cleared as read (see `_clear`, which may raise
+    `_Unclear`), and only the rows of documents that `judged` keeps are held, with only their
+    scores converted; without, every row, with every score converted.
     """
     opened: list = []
-    every_score = keep is None or keep.every_score
     for lineno, text, lines in _chunks(reads):
-        rows = _split(text, lines, every_score)
+        rows = _split(text, lines, judged is None)
         for first, piece in _rows(text.decode(), lineno) if rows is None else [(lineno, rows)]:
-            _cut(segments, piece, source, first, keep, opened)
+            _cut(segments, piece, source, first, judged, opened)
         rows = piece = None  # this chunk's tokens go before the next chunk is split
 
 
@@ -611,10 +587,10 @@ def _tokens(text: bytes, n: int, fields: int, decode: bool = False) -> list | No
     return toks
 
 
-def _split(text: bytes, n: int, every_score: bool) -> list | None:
+def _split(text: bytes, n: int, convert: bool) -> list | None:
     """The rows (see `_cut`) of n lines of 6 fields each, split as bytes: at single spaces
     (see `_five`), else with the NUL tokens of `_tokens`; scores as `_scores` gives them,
-    all converted when the read holds `every_score`. None if the text does not split so,
+    all converted if `convert`. None if the text does not split so,
     a window's rank tokens do not count up (see `_counting`) or a score is not finite."""
     if not _byte_split(text):
         return None
@@ -624,7 +600,7 @@ def _split(text: bytes, n: int, every_score: bool) -> list | None:
         rows = toks and _windowed(toks[0::7], toks[2::7], toks[3::7], toks[4::7], toks[5::7])
         if rows is None:
             return None
-    rows[2] = _scores(rows[2], every_score)
+    rows[2] = _scores(rows[2], convert)
     return None if rows[2] is None else rows
 
 
@@ -818,7 +794,8 @@ def load_runs(path: str | Path, strict_scores: bool = False, *,
     is raised at once; group errors wait until every file is read, and the first
     in first-appearance order is raised, naming the files that hold the group.
     With `judged`, every group is checked whole but keeps only its rows of
-    documents that `judged` grades relevant or partially relevant. `digests`,
+    documents that `judged` grades relevant or partially relevant; with
+    `strict_scores` too, each file's first read is whole. `digests`,
     when given, receives the SHA-256 of each file's bytes by file name.
     """
     path = Path(path)
@@ -829,11 +806,10 @@ def load_runs(path: str | Path, strict_scores: bool = False, *,
     else:
         files = [path]
     names = [f.name for f in files]
-    keep = None if judged is None else judged._kept(strict_scores)
     holders: dict[tuple[str, str], list[int]] = {}  # key -> its files, in first-appearance order
     groups: dict = {}  # key -> its columns, its error or None (foreign), in the same order
     for source, f in enumerate(files):
-        for key, group in _read_run_file(f, source, keep, strict_scores, names, digests).items():
+        for key, group in _read_run_file(f, source, judged, strict_scores, names, digests).items():
             holders.setdefault(key, []).append(source)
             groups[key] = group
     across = {key for key, sources in holders.items() if len(sources) > 1 or groups[key] is None}
@@ -844,28 +820,28 @@ def load_runs(path: str | Path, strict_scores: bool = False, *,
         for key in filter(across.__contains__, own):
             segments.setdefault(key, []).extend(own[key])
         ended = {key: segments.pop(key) for key in list(segments) if holders[key][-1] == source}
-        groups.update(_checked(ended, strict_scores, names, hold=True, keep=keep))
+        groups.update(_checked(ended, strict_scores, names, hold=True, judged=judged))
     for group in groups.values():
         if isinstance(group, ValidationError):
             raise group
     return RunSet._from_columns(groups)
 
 
-def _read_run_file(path: Path, source: int, keep: _Keep | None, strict_scores: bool,
+def _read_run_file(path: Path, source: int, judged: JudgmentSet | None, strict_scores: bool,
                    names: list[str], digests: dict | None) -> dict:
     """Read input `source` of `names` on its own: each group's key, in first-appearance
     order, with its checked columns, its error, or None if it is foreign (see `_clear`).
-    With `keep`, the ids are cleared as read; if they do not clear, the file is read again
-    whole from its start, which leaves no group foreign, and each group is checked whole
-    and then keeps its rows of kept documents (see `_group`)."""
-    for read_keep in (keep, None):
+    With `judged`, the ids are cleared as read; if they do not clear, the file is read
+    again whole from its start. Under `strict_scores`, whose check needs every row's score,
+    the first read is whole. A whole read leaves no group foreign, and with `judged` each
+    group is checked whole and then keeps its rows of `judged`'s documents (see `_group`)."""
+    for clear in (None if strict_scores else judged, None):
         segments: _Segments = {}
         try:
-            _read_file(path, lambda reads: _read_runs(reads, segments, source, read_keep),
-                       digests)
+            _read_file(path, lambda reads: _read_runs(reads, segments, source, clear), digests)
         except _Unclear:
             continue  # read again once the handler has freed this read's frames and tokens
-        return _checked(segments, strict_scores, names, hold=True, keep=keep)
+        return _checked(segments, strict_scores, names, hold=True, judged=judged)
 
 
 def _file_reads(fh: IO[bytes], digest) -> Iterator[bytes]:

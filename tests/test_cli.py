@@ -241,6 +241,7 @@ class TestRenderPerQuery:
         (["1007", "2007"], ["1007", "2007"]),
         (["1007", "1008", "1107"], ["007", "008", "107"]),
         (["q1"], ["q1"]),
+        (["x1", "x1x1"], ["x1", "x1x1"]),  # both would shorten to "x1"
     ],
 )
 def test_abbreviate_queries(queries, expected):

@@ -171,6 +171,7 @@ def test_run_round_trip_randomized():
     sink = io.StringIO()
     write_run_file(runs, sink)
     assert parse_run_file(io.StringIO(sink.getvalue())) == runs
+    assert runs.__eq__(entries) is NotImplemented
 
 
 @pytest.mark.parametrize("value", ["", "a\tb", "\t", "a\u00a0b", "a\u2003b", "d42"])
@@ -602,8 +603,9 @@ def test_a_foreign_group_no_other_file_holds_is_read_again_whole(
         tmp_path, monkeypatch, texts, message, judged_opens, chunk_chars):
     """A group whose part in a file starts past rank 1 is foreign there: a judged read keeps
     none of its rows, and only its file is read again, for the group's check. A whole read
-    reads each file once. Under strict scores, the later group of the third layout fails too,
-    and the one that appears first is raised."""
+    reads each file once, and so does a judged read under strict scores, whose first read is
+    whole. Under strict scores, the later group of the third layout fails too, and the one
+    that appears first is raised."""
     path = _write_dir(tmp_path / "runs", texts)
     monkeypatch.setattr(corpus_io, "_CHUNK_CHARS", chunk_chars)
     judgments = _graded([RunEntry("q1", d, 1, 0.0, "s1") for d in ("d1", "d2", "d3")])
@@ -615,7 +617,8 @@ def test_a_foreign_group_no_other_file_holds_is_read_again_whole(
 
     monkeypatch.setattr(corpus_io, "open", recording_open, raising=False)
     for strict in (False, True):
-        for judged, opens in ((None, sorted(texts)), (judgments, judged_opens)):
+        for judged, opens in ((None, sorted(texts)),
+                              (judgments, sorted(texts) if strict else judged_opens)):
             opened.clear()
             if message is None:
                 runs = load_runs(path, strict, judged=judged)
@@ -670,7 +673,8 @@ def test_every_judged_path_holds_the_judgments_ids_in_typed_columns(tmp_path, mo
     its ranks and scores in arrays of unsigned ints and doubles: the byte read that clears
     its ids, a group whose key comes back and groups whose ranks count down (read line by
     line; each file read again whole), groups cut across files of 37 lines (merged after a
-    second read), a "#" line and a non-ASCII id (read line by line) and strict scores."""
+    second read), a "#" line and a non-ASCII id (read line by line) and strict scores (the
+    file read whole once, with no read that clears)."""
     lines = _corpus_lines()
     qrels = "".join(f"{q} 0 d{d} {(2, 0, 1)[d % 3]}\n" for q in ("q0", "q1", "q2")
                     for d in range(200))
@@ -696,7 +700,8 @@ def test_every_judged_path_holds_the_judgments_ids_in_typed_columns(tmp_path, mo
     (tmp_path / "qrels.txt").write_text(qrels)
     judgments = load_judgments(tmp_path / "qrels.txt")
     own = {q: {d: d for d in grades} for q, grades in judgments._by_query.items()}
-    opened, line_rows, rows = [], [], corpus_io._rows
+    opened, line_rows, cleared, unclear = [], [], [], []
+    rows, clear = corpus_io._rows, corpus_io._clear
 
     def recording_open(file, *args, **kwargs):
         opened.append(Path(file).name)
@@ -707,13 +712,23 @@ def test_every_judged_path_holds_the_judgments_ids_in_typed_columns(tmp_path, mo
         line_rows.extend(pieces)
         return pieces
 
+    def recording_clear(*args):
+        cleared.append(args[2])
+        try:
+            return clear(*args)
+        except corpus_io._Unclear:
+            unclear.append(args[2])
+            raise
+
     monkeypatch.setattr(corpus_io, "open", recording_open, raising=False)
     monkeypatch.setattr(corpus_io, "_rows", recording_rows)
+    monkeypatch.setattr(corpus_io, "_clear", recording_clear)
     strict = layout == "strict"
     judged = load_runs(path, strict, judged=judgments)
     read_again = layout in ("key_back", "ranks_down")  # the file is read again whole
     if layout != "split_37":
         assert opened == ["runs.txt"] * (1 + read_again)
+    assert (bool(cleared), bool(unclear)) == (not strict, read_again)
     assert bool(line_rows) == (layout in ("line_path", "ranks_down"))
     assert judged == _judged_rows(load_runs(path, strict), judgments)
     assert len(judged) > 50
@@ -1498,6 +1513,7 @@ def test_judgment_lookups_equal_a_full_scan():
         assert len(js) == len(grades)
         assert js.queries() == sorted({q for q, _ in grades})
         assert js == JudgmentSet(dict(reversed(grades.items())))
+        assert js.__eq__(grades) is NotImplemented
         if grades:
             key = rng.choice(sorted(grades))
             other = next(g for g in Relevance if g is not grades[key])

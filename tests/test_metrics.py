@@ -28,10 +28,11 @@ class TestReadProbability:
     def test_absent_is_zero(self):
         assert read_probability(None, 300) == 0
 
-    @pytest.mark.parametrize("rank", [0, -1, 301])
-    def test_out_of_range_rank(self, rank):
+    @pytest.mark.parametrize("rank,depth", [(0, 300), (-1, 300), (301, 300), (None, 0)],
+                             ids=["0", "-1", "301", "depth_0"])
+    def test_out_of_range_rank(self, rank, depth):
         with pytest.raises(ConfigError):
-            read_probability(rank, 300)
+            read_probability(rank, depth)
 
     def test_matches_threshold_enumeration(self):
         for n in range(1, 51):

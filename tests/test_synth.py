@@ -94,6 +94,10 @@ def test_infeasible_spec_rejected():
 def test_spec_field_validation():
     with pytest.raises(ConfigError):
         _spec(num_systems=1)
+    for field, value in (("num_queries", 0), ("depth_n", 0), ("relevant_per_query", -1),
+                         ("unique_per_system", -1)):
+        with pytest.raises(ConfigError, match=f"^{field} must be >= "):
+            _spec(**{field: value})
     with pytest.raises(ConfigError):
         _spec(shared_fraction=1.5)
     with pytest.raises(ConfigError):
