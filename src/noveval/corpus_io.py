@@ -25,15 +25,15 @@ digits around one "." is finite by its shape, and only the scores that a segment
 are converted (see `_scores`). In `load_runs(..., judged=J)` the reader clears each
 segment's ids as it reads them and holds only the rows of documents that J grades
 relevant or partially relevant (see `_clear`): their ids as J's own strings, their ranks
-and scores in typed arrays. A file whose ids do not clear is read again whole, as the
-merge below reads files again, and under strict scores, whose check needs every score,
-each file is read whole from the start; each group of a whole read is checked whole, then keeps
-J's rows. One group check, which `RunSet(entries)` shares, is the only place that joins
-a group's segments and decides what is valid and what every error says.
-`load_runs` reads each file on its own and checks its groups when it ends, so it holds
-one file's segments and one chunk's tokens at a time; it then merges the files in
-order, checking a group that crosses files or is foreign to one (see `_clear`) after a
-second read of only the files that hold it, as soon as the last of them is read again.
+and scores in typed arrays. A file whose groups all clear is valid as read, and its kept
+columns are its result; a file with a group that does not clear is read again whole, as
+the merge below reads files again, and under strict scores, whose check needs every
+score, each file is read whole from the start. One group check, which `RunSet(entries)`
+shares, checks each group of a whole read: it joins a group's segments, decides what is
+valid and what every error says, and with J keeps J's rows. `load_runs` reads each file
+on its own, so it holds one file's segments and one chunk's tokens at a time; it then
+merges the files in order, checking a group that crosses files after a second read of
+only the files that hold it, as soon as the last of them is read again.
 The judgment reader splits the same chunks the same way. `JudgmentSet` indexes its grades
 and relevant documents by query. A file is hashed as it is read; `hashlib`, which loads
 OpenSSL, is imported at the first file read.
@@ -81,12 +81,10 @@ _NO_GROUP = ((), (), ())
 
 
 class _Segment(NamedTuple):
-    """Rows of one (system, query) group from one input, in input order; in a judged read
-    that clears its ids as it reads them (see `_cut`), the group's one segment, of its kept
-    rows only: their ids as a list of the judgments' own strings, ranks and scores in arrays."""
-    docs: str | tuple[str, ...] | list[str]  # every row's, " "-joined; a tuple for entries
-    scores: array | tuple[float, ...]  # every row's; a cleared read's kept rows'
-    ranks: range | tuple[int, ...] | array  # a range when they count up by one
+    """Rows of one (system, query) group from one input, in input order."""
+    docs: str | tuple[str, ...]  # " "-joined; a tuple for entries
+    scores: array | tuple[float, ...]
+    ranks: range | tuple[int, ...]  # a range when they count up by one
     source: int  # the input's number
     line: int | None  # of the first row (the rows are consecutive lines)
 
@@ -189,13 +187,14 @@ def _windowed(queries: list, docs: list, ranks: list, scores: list, systems: lis
     return [windows, docs, scores] if all(window[4] for window in windows) else None
 
 
-def _cut(segments: _Segments, rows: list, source: int, first: int | None,
+def _cut(segments: dict, rows: list, source: int, first: int | None,
          judged: JudgmentSet | None = None, opened: list | None = None) -> None:
     """Add the rows [windows, docs, scores] (see `_windowed`) to `segments`, a segment a
     window; `first` is the line number of row 0, None for entries. Scores are floats, or,
     in a read that clears its ids, tokens proven finite (see `_scores`), converted here
-    only for the rows a segment holds. With `judged` (a read that clears) and `opened`, the ids
-    are cleared by `_clear`, and each window adds its kept rows to its group's one segment."""
+    only for the rows kept. With `judged` (a read that clears) and `opened`, the ids are
+    cleared by `_clear`, and `segments` maps each key to its group's kept columns, built as
+    the read goes: [ids as the judgments' own strings, ranks array, scores array]."""
     windows, docs, scores = rows
     raw = type(docs[0]) is bytes
     spelled = type(scores[0]) is bytes  # tokens proven finite, not yet converted
@@ -213,62 +212,50 @@ def _cut(segments: _Segments, rows: list, source: int, first: int | None,
             continue
         wanted = (judged._raw_ids if raw else judged._ids).get(query, {})
         kept = _clear(opened, segments, key, seg_ranks, seg_docs, wanted)
-        if kept is None:
-            continue  # foreign: no row kept
         seg_scores = map(scores.__getitem__, map(a.__add__, kept))
-        group = segments.setdefault(key, [])
-        if not group:
-            group.append(_Segment([], array("d"), array("I"), source, first + a))
-        group[0].docs.extend(map(wanted.__getitem__, map(seg_docs.__getitem__, kept)))
-        group[0].ranks.extend(map(seg_ranks.__getitem__, kept))
-        group[0].scores.extend(map(float, seg_scores) if spelled else seg_scores)
+        kept_docs, kept_ranks, kept_scores = segments.setdefault(key, ([], array("I"), array("d")))
+        kept_docs.extend(map(wanted.__getitem__, map(seg_docs.__getitem__, kept)))
+        kept_ranks.extend(map(seg_ranks.__getitem__, kept))
+        kept_scores.extend(map(float, seg_scores) if spelled else seg_scores)
 
 
 class _Unclear(Exception):
     """Ids that a judged read cannot clear as it reads them (see `_clear`)."""
 
 
-def _clear(opened: list, segments: _Segments, key: tuple[str, str], ranks: range | tuple,
-           docs: Sequence, wanted: dict) -> list | None:
+def _clear(opened: list, segments: dict, key: tuple[str, str], ranks: range | tuple,
+           docs: Sequence, wanted: dict) -> list:
     """The offsets, in order, of the segment's ids (tokens, bytes or text) that `wanted`
-    holds, once they clear, else None. They clear if the segment starts a group at rank 1
-    that `segments` does not hold yet, or continues the group `opened` by the segment
-    before it ([key, next rank, ids, the ids of `wanted` not among them]; only a chunk's
-    row 0 can), and adding them to the group's ids leaves none there twice. A group is
-    foreign to the input if its first segment there starts past rank 1, or an id of it
-    comes twice (which its check, after a second read, rejects): `segments` holds it with
-    no segment, and none of its rows is kept. Any other segment raises `_Unclear` (the key
-    back, or ranks that do not count up), and its input is read again whole: so an input
-    that clears holds each group foreign or once, from rank 1, no id twice."""
+    holds, once they clear. They clear if the segment starts a group at rank 1 that
+    `segments` does not hold yet, or continues the group `opened` by the segment before it
+    ([key, next rank, ids, the ids of `wanted` not among them]; only a chunk's row 0 can),
+    and adding them to the group's ids leaves none there twice. Any other segment raises
+    `_Unclear` (a group that starts past rank 1, the key back, ranks that do not count up,
+    an id twice), and its input is read again whole: so an input that clears holds each
+    group once, from rank 1, ranks counting up, no id twice."""
     if type(ranks) is not range:
         raise _Unclear
-    segs = segments.get(key)
     if opened and opened[0] == key and ranks.start == opened[1]:
         ids, left = opened[2:]
         if type(docs[0]) is not type(next(iter(ids))):  # one chunk split as bytes, one as text
             ids, left = ({d.decode() if isinstance(d, bytes) else d.encode() for d in held}
                          for held in (ids, left))
-    elif segs == [] or segs is None and ranks.start > 1:
-        ids = None  # foreign
-    elif segs is None:
+    elif ranks.start == 1 and key not in segments:
         ids, left = set(), wanted.keys()
     else:
         raise _Unclear
-    if ids is not None:
-        held = len(ids)
-        ids.update(docs)
-        if len(ids) == held + len(docs):
-            found = left & ids  # a scan of the smaller set
-            opened[:] = key, ranks.stop, ids, left - found
-            # A few found ids are placed by index: each scan from row 0 costs about a fifth
-            # of a membership test a row, so 8 cost at most 1.7x the tests, and far less
-            # where the kept rows rank high, as relevant ones do.
-            if len(found) <= 8:
-                return sorted(map(docs.index, found))
-            return list(compress(count(), map(found.__contains__, docs)))
-    segments[key] = []  # foreign
-    opened.clear()
-    return None
+    held = len(ids)
+    ids.update(docs)
+    if len(ids) != held + len(docs):
+        raise _Unclear
+    found = left & ids  # a scan of the smaller set
+    opened[:] = key, ranks.stop, ids, left - found
+    # A few found ids are placed by index: each scan from row 0 costs about a fifth of a
+    # membership test a row, so 8 cost at most 1.7x the tests, and far less where the kept
+    # rows rank high, as relevant ones do.
+    if len(found) <= 8:
+        return sorted(map(docs.index, found))
+    return list(compress(count(), map(found.__contains__, docs)))
 
 
 #: b"1", b"2", ...: rank tokens in plain digits. A memo of its length alone, replaced
@@ -306,14 +293,13 @@ def _checked(segments: _Segments, strict_scores: bool, names: list[str] | None =
     no group is held twice. Groups are checked in first-appearance order; the
     first error is raised, or, with `hold`, stored in place of the group's
     columns (without its traceback, which would keep them alive) and the check
-    goes on. A group held with no segment is foreign to its input (see `_clear`)
-    and gives None. A judged read passes `judged`, whose id strings the kept rows share.
+    goes on. A judged read passes `judged`, whose id strings the kept rows share.
     """
     groups = {}
     for key in list(segments):
         segs = segments.pop(key)
         try:
-            groups[key] = _group(key, segs, strict_scores, names, judged) if segs else None
+            groups[key] = _group(key, segs, strict_scores, names, judged)
         except ValidationError as exc:
             if not hold:
                 raise
@@ -332,16 +318,11 @@ def _group(key: tuple[str, str], segs: list[_Segment], strict_scores: bool,
     entries, and in strict mode a score that rises. A duplicate rank or document
     names the line of the row that repeats it, a gap that of the lowest rank past it,
     and its input when the group lies in more than one. Errors start with the `names`
-    of its inputs. A group is stored whole, or, with a `judged` read, only its rows of
-    documents that `judged` keeps, in rank order: their ids as its own strings, their ranks
-    and scores in typed arrays. A judged read that cleared its ids (see `_cut`, never under
-    `strict_scores`) gives one segment, which holds the kept rows' columns as they are
-    stored; other segments hold every row, and the group is checked whole and then filtered
-    to its kept rows.
+    of its inputs. A group is stored whole, or, with `judged`, checked whole and then
+    filtered to its rows of documents that `judged` keeps, in rank order: their ids as its
+    own strings, their ranks and scores in typed arrays.
     """
     lines_known = segs[0].line is not None
-    if lines_known and type(segs[0].docs) is list:  # cleared: its kept rows' columns as they are
-        return tuple(segs[0].docs), segs[0].ranks, segs[0].scores
     sources = list(dict.fromkeys(seg.source for seg in segs))
     parts = [seg.docs.split(" ") if lines_known else seg.docs for seg in segs]  # every row's
     docs = _joined(parts)  # in input order
@@ -534,7 +515,7 @@ _OFF_SPLIT = (b"#", b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _OFF_SPACE = (b"\t", b"\x0b", b"\x0c", b"\r")
 
 
-def _read_runs(reads: Iterable[bytes], segments: _Segments, source: int,
+def _read_runs(reads: Iterable[bytes], segments: dict, source: int,
                judged: JudgmentSet | None = None) -> None:
     """Read one run input into `segments`, in chunks cut after the last newline of a read.
 
@@ -542,9 +523,10 @@ def _read_runs(reads: Iterable[bytes], segments: _Segments, source: int,
     next, and `_checked` joins a group's segments. A chunk that does not split as
     bytes with plain ranks is decoded and read line by line (see `_rows`), which
     raises the error of its first line that has not 6 fields or does not convert.
-    With `judged`, each segment's ids are cleared as read (see `_clear`, which may raise
-    `_Unclear`), and only the rows of documents that `judged` keeps are held, with only their
-    scores converted; without, every row, with every score converted.
+    With `judged`, each segment's ids are cleared as read (see `_clear`, which raises
+    `_Unclear` at the first segment that does not clear), and `segments` holds each group's
+    kept columns (see `_cut`), with only their scores converted; without, every row's
+    segments, with every score converted.
     """
     opened: list = []
     for lineno, text, lines in _chunks(reads):
@@ -788,15 +770,14 @@ def load_runs(path: str | Path, strict_scores: bool = False, *,
 
     Each file is read on its own, in name order (see `_read_run_file`), and the
     results are merged in that order. A group that continues from one file into
-    another, or is foreign to one, is checked whole from a second read of only
-    the files that hold such groups, each group as soon as the last file that
-    holds it is read again. A line error names its file and line and
-    is raised at once; group errors wait until every file is read, and the first
-    in first-appearance order is raised, naming the files that hold the group.
-    With `judged`, every group is checked whole but keeps only its rows of
-    documents that `judged` grades relevant or partially relevant; with
-    `strict_scores` too, each file's first read is whole. `digests`,
-    when given, receives the SHA-256 of each file's bytes by file name.
+    another is checked whole from a second read of only the files that hold such
+    groups, each group as soon as the last file that holds it is read again. A
+    line error names its file and line and is raised at once; group errors wait
+    until every file is read, and the first in first-appearance order is raised,
+    naming the files that hold the group. With `judged`, every group keeps only
+    its rows of documents that `judged` grades relevant or partially relevant; a
+    file that does not clear, and with `strict_scores` every file, is read whole.
+    `digests`, when given, receives the SHA-256 of each file's bytes by file name.
     """
     path = Path(path)
     if path.is_dir():
@@ -807,12 +788,12 @@ def load_runs(path: str | Path, strict_scores: bool = False, *,
         files = [path]
     names = [f.name for f in files]
     holders: dict[tuple[str, str], list[int]] = {}  # key -> its files, in first-appearance order
-    groups: dict = {}  # key -> its columns, its error or None (foreign), in the same order
+    groups: dict = {}  # key -> its columns or its error, in the same order
     for source, f in enumerate(files):
         for key, group in _read_run_file(f, source, judged, strict_scores, names, digests).items():
             holders.setdefault(key, []).append(source)
             groups[key] = group
-    across = {key for key, sources in holders.items() if len(sources) > 1 or groups[key] is None}
+    across = {key for key, sources in holders.items() if len(sources) > 1}
     segments: _Segments = {}  # the crossing groups that a later file still holds
     for source in sorted({s for key in across for s in holders[key]}):
         own: _Segments = {}
@@ -830,18 +811,22 @@ def load_runs(path: str | Path, strict_scores: bool = False, *,
 def _read_run_file(path: Path, source: int, judged: JudgmentSet | None, strict_scores: bool,
                    names: list[str], digests: dict | None) -> dict:
     """Read input `source` of `names` on its own: each group's key, in first-appearance
-    order, with its checked columns, its error, or None if it is foreign (see `_clear`).
-    With `judged`, the ids are cleared as read; if they do not clear, the file is read
-    again whole from its start. Under `strict_scores`, whose check needs every row's score,
-    the first read is whole. A whole read leaves no group foreign, and with `judged` each
-    group is checked whole and then keeps its rows of `judged`'s documents (see `_group`)."""
+    order, with its checked columns or its error. With `judged`, the ids are cleared as
+    read (see `_clear`): a read that clears holds each group once, from rank 1, no id
+    twice, its scores proven finite, so it is valid as read and its kept columns are the
+    groups' columns. At the first segment that does not clear, the file is read again
+    whole from its start; under `strict_scores`, whose check needs every row's score, the
+    first read is whole. Each group of a whole read is checked whole and, with `judged`,
+    then keeps its rows of `judged`'s documents (see `_group`)."""
     for clear in (None if strict_scores else judged, None):
-        segments: _Segments = {}
+        segments: dict = {}
         try:
             _read_file(path, lambda reads: _read_runs(reads, segments, source, clear), digests)
         except _Unclear:
             continue  # read again once the handler has freed this read's frames and tokens
-        return _checked(segments, strict_scores, names, hold=True, judged=judged)
+        if clear is None:
+            return _checked(segments, strict_scores, names, hold=True, judged=judged)
+        return {key: (tuple(docs), *rest) for key, (docs, *rest) in segments.items()}
 
 
 def _file_reads(fh: IO[bytes], digest) -> Iterator[bytes]:

@@ -450,7 +450,7 @@ def test_groups_cut_across_files_at_random_lines_load_as_one_file(tmp_path, monk
     """A synth corpus's lines cut at random line numbers into 2-4 files, in order and
     reversed: the whole load reads as the one file does, and the judged load keeps its
     judged rows. Odd cases cut the whole text; even cases cut every group apart, piece k of
-    each in file k, so every group crosses files and is foreign to most of them."""
+    each in file k, so every group crosses files and starts past rank 1 in most of them."""
     monkeypatch.setattr(corpus_io, "_CHUNK_CHARS", chunk_chars)
     rng = random.Random(26)
     for case in range(8):
@@ -519,6 +519,8 @@ def test_group_errors_across_files_in_first_appearance_order(tmp_path, texts, me
 
 
 def test_digests_come_from_the_first_read_of_a_file_read_again(tmp_path, monkeypatch):
+    """b.txt starts its group at rank 2, so a judged read of it stops at its first row and
+    reads it again whole: its digest comes from that whole read, and none from the merge's."""
     texts = {"a.txt": "\ufeffq1 0 d1 1 0.9 s1\r\nq2 0 d1 1 0.9 s1\r\n",
              "b.txt": "q1 0 d2 2 0.8 s1\n", "c.txt": "q3 0 d1 1 0.9 s1\n"}
     path = _write_dir(tmp_path / "runs", texts)
@@ -529,16 +531,21 @@ def test_digests_come_from_the_first_read_of_a_file_read_again(tmp_path, monkeyp
         return open(file, *args, **kwargs)
 
     monkeypatch.setattr(corpus_io, "open", recording_open, raising=False)
-    digests = {}
-    assert len(load_runs(path, digests=digests)) == 4
-    assert opened == ["a.txt", "b.txt", "c.txt", "a.txt", "b.txt"]
-    assert digests == {name: hashlib.sha256((path / name).read_bytes()).hexdigest()
-                       for name in texts}
+    for judged in (None, _graded([_E1, _E2])):
+        opened.clear()
+        digests = {}
+        assert len(load_runs(path, judged=judged, digests=digests)) == (
+            4 if judged is None else 1)  # the judgments keep d1 of q1 only
+        assert opened == ["a.txt", "b.txt", *["b.txt"] * (judged is not None), "c.txt",
+                          "a.txt", "b.txt"]
+        assert digests == {name: hashlib.sha256((path / name).read_bytes()).hexdigest()
+                           for name in texts}
 
 
 def test_a_group_continued_from_an_earlier_file_reads_each_file_twice(tmp_path, monkeypatch):
-    """a.txt holds ranks 1-2 of a group and b.txt its rank 3: a judged load, as a whole one,
-    reads each file once and then each again for the group across them."""
+    """a.txt holds ranks 1-2 of a group and b.txt its rank 3: a whole load reads each file
+    once and then each again for the group across them; a judged load also reads b.txt whole
+    once its first read stops at the group that starts there past rank 1."""
     path = _write_dir(tmp_path / "runs", {"a.txt": "q1 0 d1 1 0.9 s1\nq1 0 d2 2 0.8 s1\n",
                                           "b.txt": "q1 0 d3 3 0.7 s1\n"})
     opened = []
@@ -552,17 +559,17 @@ def test_a_group_continued_from_an_earlier_file_reads_each_file_twice(tmp_path, 
     for judged in (None, judgments):
         opened.clear()
         runs = load_runs(path, judged=judged)
-        assert opened == ["a.txt", "b.txt", "a.txt", "b.txt"]
+        assert opened == ["a.txt", "b.txt", *["b.txt"] * (judged is not None), "a.txt", "b.txt"]
         assert runs.ranking("s1", "q1") == ({"d1": 1, "d2": 2, "d3": 3} if judged is None
                                             else {"d1": 1, "d3": 3})
 
 
 @pytest.mark.parametrize("chunk_chars", [1, 40, 1 << 15])
-def test_a_group_with_an_id_twice_in_a_later_file_is_read_again_once(tmp_path, monkeypatch,
-                                                                      chunk_chars):
+def test_a_group_with_an_id_twice_in_a_later_file_reads_it_again_whole(tmp_path, monkeypatch,
+                                                                        chunk_chars):
     """b.txt's part of a group that a.txt starts begins at rank 1 but holds a document
-    twice: a judged read keeps none of its rows and leaves it to the merge's second read,
-    as it does a foreign group, so each file is read once before that read."""
+    twice: a judged read of b.txt stops there and reads it again whole, as it does a group
+    that starts past rank 1, before the merge reads both files again."""
     path = _write_dir(tmp_path / "runs", {"a.txt": "q1 0 d1 1 0.9 s1\n",
                                           "b.txt": "q1 0 d2 1 0.8 s1\nq1 0 d2 2 0.7 s1\n"})
     monkeypatch.setattr(corpus_io, "_CHUNK_CHARS", chunk_chars)
@@ -577,7 +584,7 @@ def test_a_group_with_an_id_twice_in_a_later_file_is_read_again_once(tmp_path, m
     with pytest.raises(ValidationError) as info:
         load_runs(path, judged=judgments)
     assert str(info.value) == f"b.txt: duplicate document 'd2' {_GROUP} (line 2)"
-    assert opened == ["a.txt", "b.txt", "a.txt", "b.txt"]
+    assert opened == ["a.txt", "b.txt", "b.txt", "a.txt", "b.txt"]
 
 
 _GAP = "ranks for system 's1', query 'q1' are not contiguous 1..1 (missing [1]) (line 1)"
@@ -590,22 +597,23 @@ _GAP = "ranks for system 's1', query 'q1' are not contiguous 1..1 (missing [1]) 
         ({"a.txt": "q1 0 d2 2 0.8 s1\n"}, f"a.txt: {_GAP}", ["a.txt", "a.txt"]),
         # Its rank 1 comes back later in a.txt: the group is valid, and b.txt is not read again.
         ({"a.txt": "q1 0 d2 2 0.8 s1\nq2 0 d1 1 0.9 s1\nq1 0 d1 1 0.9 s1\n",
-          "b.txt": "q3 0 d1 1 0.9 s1\n"}, None, ["a.txt", "b.txt", "a.txt"]),
+          "b.txt": "q3 0 d1 1 0.9 s1\n"}, None, ["a.txt", "a.txt", "b.txt"]),
         # Beside a valid group and a later one whose score rises, an error under strict
         # scores: its gap appears first and is raised.
         ({"a.txt": "q1 0 d2 2 0.8 s1\nq2 0 d1 1 0.9 s1\nq3 0 d1 1 0.1 s1\nq3 0 d2 2 0.8 s1\n",
-          "b.txt": "q3 0 d1 1 0.9 s2\n"}, f"a.txt: {_GAP}", ["a.txt", "b.txt", "a.txt"]),
+          "b.txt": "q3 0 d1 1 0.9 s2\n"}, f"a.txt: {_GAP}", ["a.txt", "a.txt", "b.txt"]),
     ],
     ids=["alone", "comes_back", "before_a_later_error"],
 )
 @pytest.mark.parametrize("chunk_chars", [1, 40, 1 << 15])
 def test_a_foreign_group_no_other_file_holds_is_read_again_whole(
         tmp_path, monkeypatch, texts, message, judged_opens, chunk_chars):
-    """A group whose part in a file starts past rank 1 is foreign there: a judged read keeps
-    none of its rows, and only its file is read again, for the group's check. A whole read
-    reads each file once, and so does a judged read under strict scores, whose first read is
-    whole. Under strict scores, the later group of the third layout fails too, and the one
-    that appears first is raised."""
+    """A foreign group, one that starts past rank 1 in the one file that holds it, stops a
+    judged read of that file, which is read again whole at once, for the group's check; no
+    later file is read first, and none is read again. A whole read reads each file once,
+    and so does a judged read under strict scores, whose first read is whole. Under strict
+    scores, the later group of the third layout fails too, and the one that appears first
+    is raised."""
     path = _write_dir(tmp_path / "runs", texts)
     monkeypatch.setattr(corpus_io, "_CHUNK_CHARS", chunk_chars)
     judgments = _graded([RunEntry("q1", d, 1, 0.0, "s1") for d in ("d1", "d2", "d3")])
@@ -672,9 +680,11 @@ def test_every_judged_path_holds_the_judgments_ids_in_typed_columns(tmp_path, mo
     """Each judged path keeps each row's id as the JudgmentSet's own string, not a copy, and
     its ranks and scores in arrays of unsigned ints and doubles: the byte read that clears
     its ids, a group whose key comes back and groups whose ranks count down (read line by
-    line; each file read again whole), groups cut across files of 37 lines (merged after a
-    second read), a "#" line and a non-ASCII id (read line by line) and strict scores (the
-    file read whole once, with no read that clears)."""
+    line; each file read again whole), groups cut across files of 37 lines (a file whose
+    first group starts past rank 1 read again whole, then merged after a second read), a
+    "#" line and a non-ASCII id (read line by line) and strict scores (the file read whole
+    once, with no read that clears). A read that clears is valid as read, so only the paths
+    that read a file whole run the group check."""
     lines = _corpus_lines()
     qrels = "".join(f"{q} 0 d{d} {(2, 0, 1)[d % 3]}\n" for q in ("q0", "q1", "q2")
                     for d in range(200))
@@ -700,8 +710,8 @@ def test_every_judged_path_holds_the_judgments_ids_in_typed_columns(tmp_path, mo
     (tmp_path / "qrels.txt").write_text(qrels)
     judgments = load_judgments(tmp_path / "qrels.txt")
     own = {q: {d: d for d in grades} for q, grades in judgments._by_query.items()}
-    opened, line_rows, cleared, unclear = [], [], [], []
-    rows, clear = corpus_io._rows, corpus_io._clear
+    opened, line_rows, cleared, unclear, checks = [], [], [], [], []
+    rows, clear, checked = corpus_io._rows, corpus_io._clear, corpus_io._checked
 
     def recording_open(file, *args, **kwargs):
         opened.append(Path(file).name)
@@ -720,16 +730,22 @@ def test_every_judged_path_holds_the_judgments_ids_in_typed_columns(tmp_path, mo
             unclear.append(args[2])
             raise
 
+    def recording_checked(segments, *args, **kwargs):
+        checks.append(list(segments))
+        return checked(segments, *args, **kwargs)
+
     monkeypatch.setattr(corpus_io, "open", recording_open, raising=False)
     monkeypatch.setattr(corpus_io, "_rows", recording_rows)
     monkeypatch.setattr(corpus_io, "_clear", recording_clear)
+    monkeypatch.setattr(corpus_io, "_checked", recording_checked)
     strict = layout == "strict"
     judged = load_runs(path, strict, judged=judgments)
-    read_again = layout in ("key_back", "ranks_down")  # the file is read again whole
+    read_again = layout in ("key_back", "ranks_down", "split_37")  # a file is read again whole
     if layout != "split_37":
         assert opened == ["runs.txt"] * (1 + read_again)
     assert (bool(cleared), bool(unclear)) == (not strict, read_again)
     assert bool(line_rows) == (layout in ("line_path", "ranks_down"))
+    assert bool(checks) == (strict or read_again)
     assert judged == _judged_rows(load_runs(path, strict), judgments)
     assert len(judged) > 50
     for (_, query), (docs, ranks, scores) in judged._groups.items():
@@ -768,7 +784,8 @@ def test_the_merge_checks_each_group_once_its_last_file_is_read_again(tmp_path, 
         runs = load_runs(path, judged=judged)
         assert runs.systems() == ["s1", "s2"] and len(runs) == (10 if judged is None else 4)
         reads = [i for i, (kind, _) in enumerate(events) if kind == "read"]
-        merge = events[reads[4]:]  # from the first file read again
+        # The merge starts at the first read of a file named before the file read last.
+        merge = events[next(i for i, j in zip(reads[1:], reads) if events[i][1] < events[j][1]):]
         assert [name for kind, name in merge if kind == "read"] == ["a.txt", "b.txt", "c.txt",
                                                                     "d.txt"]
         for key, name in last.items():

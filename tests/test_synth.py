@@ -152,6 +152,9 @@ class TestOracle:
         runs, judgments = generate(_spec())
         with pytest.raises(OracleScaleError):
             oracle_utility(runs, judgments, "sys00", EvalConfig(depth_n=51))
+        alone = RunSet([RunEntry("q", "d", 1, 1.0, "x")])  # no pool system besides x
+        with pytest.raises(ConfigError, match="^oracle needs at least one pool system"):
+            oracle_utility(alone, judgments, "x", EvalConfig(depth_n=5))
 
     def test_agreement_exhaustive_one_doc(self):
         # exhaustive over N <= 10, |E| <= 3, all rank placements of one document
